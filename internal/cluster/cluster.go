@@ -34,7 +34,6 @@ import (
 	"updlrm/internal/governor"
 	"updlrm/internal/hotcache"
 	"updlrm/internal/obs"
-	"updlrm/internal/serve"
 	"updlrm/internal/trace"
 )
 
@@ -61,15 +60,16 @@ type Config struct {
 	// VirtualNodes is the consistent-hash ring's virtual-point count per
 	// node (default 16): more points smooth the range distribution.
 	VirtualNodes int
-	// MaxBatch, BatchWindow and QueueDepth shape the frontend's
-	// micro-batcher exactly as serve.Config's fields do (defaults
-	// serve.DefaultMaxBatch / 0 / serve.DefaultQueueDepth).
+	// MaxBatch, BatchWindow and QueueDepth are the frontend scheduler's
+	// serve.Config fields of the same names (defaults
+	// serve.DefaultMaxBatch / 0 / serve.DefaultQueueDepth); QoS classes
+	// run with serve's default weights.
 	MaxBatch    int
 	BatchWindow time.Duration
 	QueueDepth  int
 	// GatherWorkers is how many micro-batches the frontend gathers
-	// concurrently (each worker owns a dense-path model clone). Default
-	// 2.
+	// concurrently — the scheduler's shard count (each worker owns a
+	// dense-path model clone). Default 2.
 	GatherWorkers int
 	// Link models the interconnect for Breakdown.NetworkNs accounting.
 	// The zero value means DefaultLink().
@@ -103,11 +103,12 @@ type Config struct {
 	// resources, and they report their band and pressure on every
 	// lookup response so ClusterStats can surface fleet-wide pressure.
 	Governor governor.Config
-	// Metrics, when set, receives the cluster instrument families:
-	// per-node RPC and error counters, hedge/failover counters,
-	// gather-latency histograms, modeled network time and degraded
-	// gauges. Pre-resolved at construction; nil leaves the fabric
-	// uninstrumented.
+	// Metrics, when set, receives the frontend scheduler's serve_*
+	// families (serve.Config.Metrics) and the cluster instrument
+	// families: per-node RPC and error counters, hedge/failover
+	// counters, gather-latency histograms, modeled network time and
+	// degraded gauges. Pre-resolved at construction; nil leaves the
+	// deployment uninstrumented.
 	Metrics *obs.Registry
 }
 
@@ -142,12 +143,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.VirtualNodes <= 0 {
 		c.VirtualNodes = DefaultVirtualNodes
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = serve.DefaultMaxBatch
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = serve.DefaultQueueDepth
 	}
 	if c.GatherWorkers <= 0 {
 		c.GatherWorkers = DefaultGatherWorkers

@@ -412,129 +412,6 @@ func TestClusterLeaveRejoinRace(t *testing.T) {
 	wg.Wait()
 }
 
-// slowTransport delays every lookup, letting tests fill the admission
-// queue deterministically.
-type slowTransport struct {
-	*LocalTransport
-	delay time.Duration
-}
-
-func (s *slowTransport) Lookup(ctx context.Context, node string, req *LookupRequest) (*LookupResponse, error) {
-	select {
-	case <-time.After(s.delay):
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	return s.LocalTransport.Lookup(ctx, node, req)
-}
-
-// TestClusterOverloadSheds verifies the typed overload error surfaces
-// from a full admission queue.
-func TestClusterOverloadSheds(t *testing.T) {
-	model, profile, ecfg := testFixture(t)
-	cfg := Config{
-		Nodes:         []string{"node-a", "node-b"},
-		MaxBatch:      1,
-		QueueDepth:    1,
-		GatherWorkers: 1,
-	}
-	norm, err := cfg.withDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var backends []*Backend
-	for _, node := range norm.Nodes {
-		b, err := NewBackend(model, profile, ecfg, cfg, node)
-		if err != nil {
-			t.Fatal(err)
-		}
-		backends = append(backends, b)
-	}
-	tr := &slowTransport{LocalTransport: NewLocalTransport(backends...), delay: 30 * time.Millisecond}
-	front, err := NewFrontend(model, profile, ecfg, cfg, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(front.Close)
-
-	ctx := context.Background()
-	req := requestsFrom(profile, 1)[0]
-	var wg sync.WaitGroup
-	shed := make(chan error, 64)
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := front.Predict(ctx, req); err != nil {
-				shed <- err
-			}
-		}()
-	}
-	wg.Wait()
-	close(shed)
-	n := 0
-	for err := range shed {
-		if !errors.Is(err, serve.ErrOverloaded) {
-			t.Fatalf("unexpected error: %v", err)
-		}
-		var oe *serve.OverloadError
-		if !errors.As(err, &oe) || oe.Lane != serve.LanePredict {
-			t.Fatalf("shed error not a predict-lane OverloadError: %#v", err)
-		}
-		n++
-	}
-	if n == 0 {
-		t.Fatal("no requests shed with a 1-deep queue and 32 concurrent callers")
-	}
-	if front.Stats().Shed == 0 {
-		t.Fatal("Stats.Shed = 0")
-	}
-}
-
-// TestClusterValidation covers the ErrBadRequest taxonomy at the
-// frontend.
-func TestClusterValidation(t *testing.T) {
-	model, profile, ecfg := testFixture(t)
-	front, _, err := New(model, profile, ecfg, Config{Nodes: []string{"node-a", "node-b"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(front.Close)
-	ctx := context.Background()
-	good := requestsFrom(profile, 1)[0]
-
-	bad := good
-	bad.Dense = bad.Dense[:1]
-	if _, err := front.Predict(ctx, bad); !errors.Is(err, serve.ErrBadRequest) {
-		t.Fatalf("short dense: %v", err)
-	}
-	bad = good
-	bad.Sparse = bad.Sparse[:1]
-	if _, err := front.Predict(ctx, bad); !errors.Is(err, serve.ErrBadRequest) {
-		t.Fatalf("short sparse: %v", err)
-	}
-	bad = good
-	bad.Sparse = append([][]int32(nil), good.Sparse...)
-	bad.Sparse[0] = []int32{int32(profile.RowsPerTable[0])}
-	if _, err := front.Predict(ctx, bad); !errors.Is(err, serve.ErrBadRequest) {
-		t.Fatalf("out-of-range row: %v", err)
-	}
-	if err := front.ApplyDeltas(ctx, nil); !errors.Is(err, serve.ErrBadRequest) {
-		t.Fatalf("empty deltas: %v", err)
-	}
-	if err := front.ApplyDeltas(ctx, []serve.Delta{{Table: 0, Row: 0, Vec: []float32{1}}}); !errors.Is(err, serve.ErrBadRequest) {
-		t.Fatalf("short vec: %v", err)
-	}
-
-	front.Close()
-	if _, err := front.Predict(ctx, good); !errors.Is(err, serve.ErrClosed) {
-		t.Fatalf("predict after close: %v", err)
-	}
-	if err := front.ApplyDeltas(ctx, []serve.Delta{{Table: 0, Row: 0, Vec: make([]float32, model.Cfg.EmbDim)}}); !errors.Is(err, serve.ErrClosed) {
-		t.Fatalf("update after close: %v", err)
-	}
-}
-
 // TestClusterBackendGovernor drives one backend's pressure governor
 // through its bands deterministically and checks the node-local ladder
 // (cache shrink at High, arena freeze at Critical, full release) plus

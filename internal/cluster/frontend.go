@@ -19,67 +19,47 @@ import (
 	"updlrm/internal/trace"
 )
 
-// Frontend is the cluster's serving face: it implements
-// serve.Inferencer by micro-batching incoming requests, scattering each
-// batch's sparse lookups to the backends owning the touched ranges,
-// gathering their partial embedding reductions over the transport, and
-// running the dense head locally. Failures fail over to replicas
-// (retry-once), slow primaries can be hedged, and every fan-out charges
-// the link model into Breakdown.NetworkNs.
+// Frontend is the cluster's serving face: a serve.Server whose shard
+// slots are gather executors. The embedded server owns admission, class
+// queues, DRR scheduling, micro-batch windows, the update lane,
+// statistics and tracing — Predict, ApplyDeltas and Stats are its
+// methods, exactly as over local engine replicas — and each executor
+// scatters its micro-batch's sparse lookups to the backends owning the
+// touched ranges, gathers their partial embedding reductions over the
+// transport, and runs the dense head locally. What stays here is the
+// fabric: placement, transport, health, failover (retry-once), hedging,
+// per-node counters, and the link model charged into
+// Breakdown.NetworkNs.
 type Frontend struct {
+	*serve.Server
+
 	cfg    Config
 	place  *placement
 	tr     Transport
 	health *health
 	obs    *clusterObs
 	nc     []nodeCounters
-	stats  *collector
 
-	numTables    int
-	rowsPerTable []int
-	denseDim     int
-	embDim       int
-	flops        int64
-	host         hosthw.CPUModel
+	shape serve.Shape
+	flops int64
+	host  hosthw.CPUModel
 
-	mu      sync.RWMutex // guards closed + queue sends against Close
-	closed  bool
-	queue   chan *fePending
-	batchCh chan []*fePending
-	// updateSem bounds outstanding ApplyDeltas fan-outs (shed-at-the-door
-	// admission, like the single-node update lane).
-	updateSem chan struct{}
+	// Fabric totals behind ClusterStats.
+	mu      sync.Mutex
+	netNs   float64
+	batches int64
 
-	wg        sync.WaitGroup
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
 	shutdown  sync.Once
 }
 
-// updateSlots bounds concurrent update fan-outs, mirroring the
-// single-node update lane's queue depth.
-const updateSlots = 64
-
-// fePending is one queued request awaiting its micro-batch.
-type fePending struct {
-	req  serve.Request // private copy
-	ctx  context.Context
-	enq  time.Time
-	done chan feOutcome // buffered 1
-}
-
-type feOutcome struct {
-	resp serve.Response
-	err  error
-}
-
-// gatherWorker is one gather goroutine's private state: a dense-path
-// pool over its own model clone plus recycled batch scratch.
-type gatherWorker struct {
+// gatherExec is one gather worker's serve.Executor: a dense-path pool
+// over its own model clone plus recycled gather scratch.
+type gatherExec struct {
+	f       *Frontend
 	id      int
 	pool    *dlrm.HostPool
-	tr      trace.Trace
-	batch   trace.Batch
 	embs    tensor.EmbBuf
 	ctr     []float32
 	written []bool
@@ -108,41 +88,51 @@ type callResult struct {
 // model, profile, ecfg and cfg must be the same values every backend
 // was built from — placement is computed, not negotiated.
 func NewFrontend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg Config, tr Transport) (*Frontend, error) {
+	f, execs, err := newFabric(model, profile, ecfg, cfg, tr)
+	if err != nil {
+		return nil, err
+	}
+	if err := f.start(execs); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// newFabric builds the frontend's fabric state and its GatherWorkers
+// executors; start puts the scheduler on top.
+func newFabric(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg Config, tr Transport) (*Frontend, []serve.Executor, error) {
 	if model == nil || profile == nil {
-		return nil, fmt.Errorf("cluster: nil model or profile")
+		return nil, nil, fmt.Errorf("cluster: nil model or profile")
 	}
 	if tr == nil {
-		return nil, fmt.Errorf("cluster: nil transport")
+		return nil, nil, fmt.Errorf("cluster: nil transport")
 	}
 	norm, err := cfg.withDefaults()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if profile.NumTables != model.Cfg.NumTables() {
-		return nil, fmt.Errorf("cluster: profile tables %d != model %d", profile.NumTables, model.Cfg.NumTables())
+		return nil, nil, fmt.Errorf("cluster: profile tables %d != model %d", profile.NumTables, model.Cfg.NumTables())
 	}
 	place, err := newPlacement(model.Cfg.RowsPerTable, norm)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	h := newHealth(len(norm.Nodes), norm.FailureThreshold)
 	f := &Frontend{
-		cfg:          norm,
-		place:        place,
-		tr:           tr,
-		health:       h,
-		obs:          newClusterObs(norm.Metrics, norm.Nodes, h),
-		nc:           make([]nodeCounters, len(norm.Nodes)),
-		stats:        &collector{},
-		numTables:    model.Cfg.NumTables(),
-		rowsPerTable: append([]int(nil), model.Cfg.RowsPerTable...),
-		denseDim:     model.Cfg.DenseDim,
-		embDim:       model.Cfg.EmbDim,
-		flops:        model.FLOPsPerSample(),
-		host:         ecfg.Host,
-		queue:        make(chan *fePending, norm.QueueDepth),
-		batchCh:      make(chan []*fePending, norm.GatherWorkers),
-		updateSem:    make(chan struct{}, updateSlots),
+		cfg:    norm,
+		place:  place,
+		tr:     tr,
+		health: h,
+		obs:    newClusterObs(norm.Metrics, norm.Nodes, h),
+		nc:     make([]nodeCounters, len(norm.Nodes)),
+		shape: serve.Shape{
+			RowsPerTable: append([]int(nil), model.Cfg.RowsPerTable...),
+			DenseDim:     model.Cfg.DenseDim,
+			EmbDim:       model.Cfg.EmbDim,
+		},
+		flops: model.FLOPsPerSample(),
+		host:  ecfg.Host,
 	}
 	// Each gather worker owns a model clone and an even share of the
 	// host cores for the dense head — the same kernel tier the backends'
@@ -151,169 +141,48 @@ func NewFrontend(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg 
 	if share < 1 {
 		share = 1
 	}
-	f.wg.Add(1)
-	go f.batcher()
-	for i := 0; i < norm.GatherWorkers; i++ {
-		w := &gatherWorker{
-			id:   i,
-			pool: dlrm.NewHostPool(model.Clone(), share, ecfg.Kernel),
-			tr: trace.Trace{
-				NumTables:    f.numTables,
-				RowsPerTable: f.rowsPerTable,
-				DenseDim:     f.denseDim,
-			},
-			written: make([]bool, f.numTables),
+	execs := make([]serve.Executor, norm.GatherWorkers)
+	for i := range execs {
+		execs[i] = &gatherExec{
+			f:       f,
+			id:      i,
+			pool:    dlrm.NewHostPool(model.Clone(), share, ecfg.Kernel),
+			written: make([]bool, len(f.shape.RowsPerTable)),
 		}
-		f.wg.Add(1)
-		go f.worker(w)
 	}
-	if norm.PingInterval > 0 {
+	return f, execs, nil
+}
+
+// start runs the serving scheduler over the executors — the cluster
+// Config's batching fields are serve.Config's — and the health prober.
+func (f *Frontend) start(execs []serve.Executor) error {
+	srv, err := serve.NewWithExecutors(execs, f.shape, serve.Config{
+		MaxBatch:    f.cfg.MaxBatch,
+		BatchWindow: f.cfg.BatchWindow,
+		QueueDepth:  f.cfg.QueueDepth,
+		Metrics:     f.cfg.Metrics,
+	})
+	if err != nil {
+		return err
+	}
+	f.Server = srv
+	if f.cfg.PingInterval > 0 {
 		f.stopProbe = make(chan struct{})
 		f.probeWG.Add(1)
 		go f.prober()
 	}
-	return f, nil
+	return nil
 }
 
 var _ serve.Inferencer = (*Frontend)(nil)
 
-// NumTables returns the number of embedding tables requests must carry.
-func (f *Frontend) NumTables() int { return f.numTables }
-
-// RowsPerTable returns a copy of the served table sizes.
-func (f *Frontend) RowsPerTable() []int { return append([]int(nil), f.rowsPerTable...) }
-
-// DenseDim returns the dense feature width requests must carry.
-func (f *Frontend) DenseDim() int { return f.denseDim }
-
 // EmbDim returns the embedding dimension (the width delta vectors must
 // carry).
-func (f *Frontend) EmbDim() int { return f.embDim }
+func (f *Frontend) EmbDim() int { return f.shape.EmbDim }
 
 // DescribePlacement renders the range→node assignment, one line per
 // range.
 func (f *Frontend) DescribePlacement() string { return f.place.describe() }
-
-func (f *Frontend) validate(req serve.Request) error {
-	if req.Class >= serve.NumClasses {
-		return fmt.Errorf("%w: unknown class %d", serve.ErrBadRequest, req.Class)
-	}
-	if len(req.Dense) != f.denseDim {
-		return fmt.Errorf("%w: %d dense features, want %d", serve.ErrBadRequest, len(req.Dense), f.denseDim)
-	}
-	if len(req.Sparse) != f.numTables {
-		return fmt.Errorf("%w: %d sparse sets, want %d", serve.ErrBadRequest, len(req.Sparse), f.numTables)
-	}
-	for t, idx := range req.Sparse {
-		rows := f.rowsPerTable[t]
-		for _, v := range idx {
-			if v < 0 || int(v) >= rows {
-				return fmt.Errorf("%w: table %d index %d out of [0,%d)", serve.ErrBadRequest, t, v, rows)
-			}
-		}
-	}
-	return nil
-}
-
-// Predict serves one request through the fan-out/gather path, blocking
-// until its micro-batch has been gathered (or ctx is done). A full
-// admission queue sheds with the predict-lane overload error, exactly
-// like the single-node server.
-func (f *Frontend) Predict(ctx context.Context, req serve.Request) (serve.Response, error) {
-	if err := f.validate(req); err != nil {
-		return serve.Response{}, err
-	}
-	if err := ctx.Err(); err != nil {
-		return serve.Response{}, err
-	}
-	cp := serve.Request{
-		Dense:  append([]float32(nil), req.Dense...),
-		Sparse: make([][]int32, len(req.Sparse)),
-		Class:  req.Class,
-	}
-	for t, idx := range req.Sparse {
-		cp.Sparse[t] = append([]int32(nil), idx...)
-	}
-	p := &fePending{req: cp, ctx: ctx, enq: time.Now(), done: make(chan feOutcome, 1)}
-
-	f.mu.RLock()
-	if f.closed {
-		f.mu.RUnlock()
-		return serve.Response{}, serve.ErrClosed
-	}
-	select {
-	case f.queue <- p:
-		f.mu.RUnlock()
-	default:
-		f.mu.RUnlock()
-		f.stats.recordShed(req.Class)
-		f.obs.recordShed()
-		return serve.Response{}, serve.Overload(serve.LanePredict)
-	}
-
-	select {
-	case out := <-p.done:
-		return out.resp, out.err
-	case <-ctx.Done():
-		return serve.Response{}, ctx.Err()
-	}
-}
-
-// batcher coalesces queued requests into micro-batches of up to
-// MaxBatch, waiting BatchWindow for followers (opportunistic when the
-// window is zero), and feeds the gather workers.
-func (f *Frontend) batcher() {
-	defer f.wg.Done()
-	defer close(f.batchCh)
-	for {
-		p, ok := <-f.queue
-		if !ok {
-			return
-		}
-		batch := append(make([]*fePending, 0, f.cfg.MaxBatch), p)
-		var timer *time.Timer
-		var timerC <-chan time.Time
-		if f.cfg.BatchWindow > 0 {
-			timer = time.NewTimer(f.cfg.BatchWindow)
-			timerC = timer.C
-		}
-	collect:
-		for len(batch) < f.cfg.MaxBatch {
-			if timerC != nil {
-				select {
-				case q, ok := <-f.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timerC:
-					break collect
-				}
-			} else {
-				select {
-				case q, ok := <-f.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				default:
-					break collect
-				}
-			}
-		}
-		if timer != nil {
-			timer.Stop()
-		}
-		f.batchCh <- batch
-	}
-}
-
-func (f *Frontend) worker(w *gatherWorker) {
-	defer f.wg.Done()
-	for batch := range f.batchCh {
-		f.serveBatch(w, batch)
-	}
-}
 
 // pickTarget returns the range's routing target: the first healthy host
 // (owner preferred), excluding `exclude` (pass -1 for none). Returns -1
@@ -331,9 +200,9 @@ func (f *Frontend) pickTarget(rid, exclude int) int {
 // ranges: all the node's local tables appear (empty CSR where the call
 // routes no rows), and rows are translated to the node's local
 // coordinates.
-func (f *Frontend) buildCall(node int, ranges []int, pend []*fePending, owns func(rid int) bool) nodeCall {
+func (f *Frontend) buildCall(node int, ranges []int, b *trace.Batch, owns func(rid int) bool) nodeCall {
 	nv := f.place.views[node]
-	size := len(pend)
+	size := b.Size
 	req := &LookupRequest{Samples: size, Tables: make([]LookupTable, len(nv.tables))}
 	serves := make(map[int]bool, len(ranges))
 	var tables []int
@@ -352,11 +221,13 @@ func (f *Frontend) buildCall(node int, ranges []int, pend []*fePending, owns fun
 		if !serves[gt] {
 			continue
 		}
-		for s, p := range pend {
-			for _, row := range p.req.Sparse[gt] {
-				rid, idx := f.place.rangeOf(gt, row)
+		off, idx := b.Off[gt], b.Idx[gt]
+		t.Idx = make([]int32, 0, len(idx)) // the batch is flattened: size once, not by append growth
+		for s := 0; s < size; s++ {
+			for _, row := range idx[off[s]:off[s+1]] {
+				rid, i := f.place.rangeOf(gt, row)
 				if owns(rid) {
-					t.Idx = append(t.Idx, nv.rangeOff[rid]+(row-f.place.bounds[gt][idx]))
+					t.Idx = append(t.Idx, nv.rangeOff[rid]+(row-f.place.bounds[gt][i]))
 				}
 			}
 			t.Off[s+1] = int32(len(t.Idx))
@@ -376,9 +247,12 @@ type lookupOutcome struct {
 }
 
 // callLookup executes one node call with hedging and retry-once
-// failover. depth 0 is the primary attempt; depth 1 calls (failover or
-// hedge legs) neither hedge nor fail over again.
-func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending, depth int) ([]callResult, error) {
+// failover. b is the micro-batch the call was cut from, read to rebuild
+// the call against replicas; fallback legs pass nil and neither hedge
+// nor fail over again. The batch is the worker's recycled scratch, so
+// nothing that can outlive this call may read it: fallback calls are
+// built here, synchronously, and only their RPCs run in the background.
+func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch) ([]callResult, error) {
 	reqBytes := c.req.WireBytes()
 	prim := make(chan callOut, 1)
 	go func() {
@@ -388,7 +262,7 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending
 		prim <- callOut{resp: resp, err: err}
 	}()
 	var timerC <-chan time.Time
-	if depth == 0 && f.cfg.HedgeAfter > 0 {
+	if b != nil && f.cfg.HedgeAfter > 0 {
 		timer := time.NewTimer(f.cfg.HedgeAfter)
 		defer timer.Stop()
 		timerC = timer.C
@@ -425,19 +299,28 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending
 				ho := <-hedgeC
 				return ho.results, ho.err
 			}
-			if depth > 0 {
+			if b == nil {
 				return nil, fmt.Errorf("cluster: node %s: %w", f.place.nodes[c.node], out.err)
 			}
 			f.nc[c.node].failovers.Add(1)
 			f.obs.recordFailover(c.node)
-			return f.reroute(ctx, c, pend)
+			calls, err := f.reroute(c, b)
+			if err != nil {
+				return nil, err
+			}
+			return f.runFallback(ctx, calls)
 		case <-timerC:
 			timerC = nil
 			f.nc[c.node].hedges.Add(1)
 			f.obs.recordHedge(c.node)
 			hedgeC = make(chan lookupOutcome, 1)
+			calls, err := f.reroute(c, b)
+			if err != nil {
+				hedgeC <- lookupOutcome{err: err}
+				continue
+			}
 			go func() {
-				rs, err := f.reroute(ctx, c, pend)
+				rs, err := f.runFallback(ctx, calls)
 				hedgeC <- lookupOutcome{results: rs, err: err}
 			}()
 		case ho := <-hedgeC:
@@ -451,9 +334,9 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, pend []*fePending
 }
 
 // reroute re-targets a failed (or hedged) call's ranges at their
-// replicas — excluding the original node — and executes the fallback
-// calls at depth 1.
-func (f *Frontend) reroute(ctx context.Context, c nodeCall, pend []*fePending) ([]callResult, error) {
+// replicas — excluding the original node — and builds the fallback
+// calls.
+func (f *Frontend) reroute(c nodeCall, b *trace.Batch) ([]nodeCall, error) {
 	perNode := make(map[int][]int)
 	for _, rid := range c.ranges {
 		n := f.pickTarget(rid, c.node)
@@ -469,23 +352,31 @@ func (f *Frontend) reroute(ctx context.Context, c nodeCall, pend []*fePending) (
 		nodes = append(nodes, n)
 	}
 	sort.Ints(nodes)
-	var (
-		mu       sync.Mutex
-		results  []callResult
-		firstErr error
-		wg       sync.WaitGroup
-	)
+	calls := make([]nodeCall, 0, len(nodes))
 	for _, n := range nodes {
 		ranges := perNode[n]
 		owned := make(map[int]bool, len(ranges))
 		for _, rid := range ranges {
 			owned[rid] = true
 		}
-		fc := f.buildCall(n, ranges, pend, func(rid int) bool { return owned[rid] })
+		calls = append(calls, f.buildCall(n, ranges, b, func(rid int) bool { return owned[rid] }))
+	}
+	return calls, nil
+}
+
+// runFallback executes rerouted calls in parallel as fallback legs.
+func (f *Frontend) runFallback(ctx context.Context, calls []nodeCall) ([]callResult, error) {
+	var (
+		mu       sync.Mutex
+		results  []callResult
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	for _, fc := range calls {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rs, err := f.callLookup(ctx, fc, pend, 1)
+			rs, err := f.callLookup(ctx, fc, nil)
 			mu.Lock()
 			if err != nil && firstErr == nil {
 				firstErr = err
@@ -501,42 +392,29 @@ func (f *Frontend) reroute(ctx context.Context, c nodeCall, pend []*fePending) (
 	return results, nil
 }
 
-// serveBatch routes, scatters, gathers and finishes one micro-batch.
-func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
-	live := pend[:0]
-	for _, p := range pend {
-		if err := p.ctx.Err(); err != nil {
-			p.done <- feOutcome{err: err}
-			continue
-		}
-		live = append(live, p)
-	}
-	pend = live
-	if len(pend) == 0 {
-		return
-	}
-	size := len(pend)
-	dispatch := time.Now()
+// RunBatch routes, scatters, gathers and finishes one micro-batch.
+func (g *gatherExec) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int64, error) {
+	f := g.f
+	size := b.Size
+	start := time.Now()
 
 	// Route: target node per touched range (owner unless degraded, else
 	// the first healthy replica; a fully degraded range still tries the
 	// owner — success is what restores health).
 	tgt := make(map[int]int)
 	perNode := make(map[int][]int)
-	for _, p := range pend {
-		for gt, rows := range p.req.Sparse {
-			for _, row := range rows {
-				rid, _ := f.place.rangeOf(gt, row)
-				if _, ok := tgt[rid]; ok {
-					continue
-				}
-				n := f.pickTarget(rid, -1)
-				if n < 0 {
-					n = f.place.hosts[rid][0]
-				}
-				tgt[rid] = n
-				perNode[n] = append(perNode[n], rid)
+	for gt, rows := range b.Idx {
+		for _, row := range rows {
+			rid, _ := f.place.rangeOf(gt, row)
+			if _, ok := tgt[rid]; ok {
+				continue
 			}
+			n := f.pickTarget(rid, -1)
+			if n < 0 {
+				n = f.place.hosts[rid][0]
+			}
+			tgt[rid] = n
+			perNode[n] = append(perNode[n], rid)
 		}
 	}
 
@@ -554,11 +432,11 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 			wg       sync.WaitGroup
 		)
 		for _, n := range nodes {
-			c := f.buildCall(n, perNode[n], pend, func(rid int) bool { return tgt[rid] == n })
+			c := f.buildCall(n, perNode[n], b, func(rid int) bool { return tgt[rid] == n })
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				rs, err := f.callLookup(context.Background(), c, pend, 0)
+				rs, err := f.callLookup(context.Background(), c, b)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
@@ -569,12 +447,7 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 		}
 		wg.Wait()
 		if firstErr != nil {
-			err := fmt.Errorf("cluster: gather: %w", firstErr)
-			for _, p := range pend {
-				p.done <- feOutcome{err: err}
-			}
-			f.stats.recordError(size)
-			return
+			return nil, metrics.Breakdown{}, 0, fmt.Errorf("cluster: gather: %w", firstErr)
 		}
 	}
 
@@ -595,9 +468,10 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 		return ti < tj
 	})
 
-	w.embs.Reset(size, f.numTables, f.embDim)
-	for i := range w.written {
-		w.written[i] = false
+	dim := f.shape.EmbDim
+	g.embs.Reset(size, len(f.shape.RowsPerTable), dim)
+	for i := range g.written {
+		g.written[i] = false
 	}
 	var bd metrics.Breakdown
 	var netNs float64
@@ -608,16 +482,16 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 		for _, gt := range r.tables {
 			lt := nv.tableIdx[gt]
 			for s := 0; s < size; s++ {
-				src := r.resp.Embs[(lt*size+s)*f.embDim : (lt*size+s+1)*f.embDim]
-				dst := w.embs.At(s, gt)
-				if !w.written[gt] {
+				src := r.resp.Embs[(lt*size+s)*dim : (lt*size+s+1)*dim]
+				dst := g.embs.At(s, gt)
+				if !g.written[gt] {
 					copy(dst, src)
 				} else {
 					tensor.Add(src, dst)
 				}
 			}
-			w.written[gt] = true
-			gatherBytes += int64(size*f.embDim) * 4
+			g.written[gt] = true
+			gatherBytes += int64(size*dim) * 4
 		}
 		maxBreakdown(&bd, &r.resp.Breakdown)
 		if r.rtNs > netNs {
@@ -634,33 +508,18 @@ func (f *Frontend) serveBatch(w *gatherWorker, pend []*fePending) {
 	bd.MLPNs = f.host.ComputeNs(f.flops * int64(size))
 
 	// Dense head on the gathered embeddings.
-	w.tr.Samples = w.tr.Samples[:0]
-	for _, p := range pend {
-		w.tr.Samples = append(w.tr.Samples, trace.Sample{Dense: p.req.Dense, Sparse: p.req.Sparse})
+	if cap(g.ctr) < size {
+		g.ctr = make([]float32, size)
 	}
-	w.batch.Reset(&w.tr, 0, size)
-	if cap(w.ctr) < size {
-		w.ctr = make([]float32, size)
-	}
-	w.ctr = w.ctr[:size]
-	w.pool.Forward(&w.batch, &w.embs, w.ctr)
+	g.ctr = g.ctr[:size]
+	g.pool.Forward(b, &g.embs, g.ctr)
 
-	for i, p := range pend {
-		queueNs := float64(dispatch.Sub(p.enq).Nanoseconds())
-		resp := serve.Response{
-			CTR:       w.ctr[i],
-			Class:     p.req.Class,
-			Shard:     w.id,
-			BatchSize: size,
-			QueueNs:   queueNs,
-			Breakdown: bd,
-			SpanNs:    queueNs + bd.TotalNs(),
-		}
-		p.done <- feOutcome{resp: resp}
-		f.stats.record(resp)
-	}
-	f.stats.recordBatch(mram, netNs)
-	f.obs.recordBatch(float64(time.Since(dispatch).Nanoseconds()), netNs)
+	f.mu.Lock()
+	f.batches++
+	f.netNs += netNs
+	f.mu.Unlock()
+	f.obs.recordBatch(float64(time.Since(start).Nanoseconds()), netNs)
+	return g.ctr, bd, mram, nil
 }
 
 // maxBreakdown folds src into dst elementwise-max: the backends run
@@ -684,42 +543,16 @@ func maxBreakdown(dst, src *metrics.Breakdown) {
 	maxf(&dst.UpdateNs, src.UpdateNs)
 }
 
-// ApplyDeltas applies the row deltas to every copy of each touched
-// range — owner and replicas — keeping the replica set coherent, and
-// blocks until all involved nodes have absorbed them. Any node failure
-// fails the call (a partially applied update would leave replicas
-// divergent); admission sheds with the update-lane overload error when
-// too many fan-outs are already in flight.
-func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error {
-	if len(deltas) == 0 {
-		return fmt.Errorf("%w: empty update", serve.ErrBadRequest)
+// ApplyDeltas fans the deltas out to every copy of each touched range —
+// owner and replicas — and returns once all involved nodes have
+// absorbed them. The update lane broadcasts a job to every executor so
+// each drains its earlier micro-batches first; the fabric must absorb
+// the job once, so only the first executor fans it out.
+func (g *gatherExec) ApplyDeltas(deltas []serve.Delta) (float64, int64, error) {
+	if g.id != 0 {
+		return 0, 0, nil
 	}
-	for i, d := range deltas {
-		if d.Table < 0 || d.Table >= f.numTables {
-			return fmt.Errorf("%w: delta %d table %d out of [0,%d)", serve.ErrBadRequest, i, d.Table, f.numTables)
-		}
-		if d.Row < 0 || int(d.Row) >= f.rowsPerTable[d.Table] {
-			return fmt.Errorf("%w: delta %d row %d out of [0,%d)", serve.ErrBadRequest, i, d.Row, f.rowsPerTable[d.Table])
-		}
-		if len(d.Vec) != f.embDim {
-			return fmt.Errorf("%w: delta %d vec len %d, want %d", serve.ErrBadRequest, i, len(d.Vec), f.embDim)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	f.mu.RLock()
-	closed := f.closed
-	f.mu.RUnlock()
-	if closed {
-		return serve.ErrClosed
-	}
-	select {
-	case f.updateSem <- struct{}{}:
-		defer func() { <-f.updateSem }()
-	default:
-		return serve.Overload(serve.LaneUpdate)
-	}
+	f := g.f
 
 	// Group per node, per local table, across ALL hosts of each delta's
 	// range.
@@ -754,6 +587,7 @@ func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error 
 		mu        sync.Mutex
 		firstErr  error
 		modeledNs float64
+		inval     int64
 		wg        sync.WaitGroup
 	)
 	for _, n := range nodes {
@@ -767,45 +601,41 @@ func (f *Frontend) ApplyDeltas(ctx context.Context, deltas []serve.Delta) error 
 		for _, lt := range lts {
 			req.Tables = append(req.Tables, *tabs[lt])
 		}
-		node := n
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, f.cfg.CallTimeout)
+			cctx, cancel := context.WithTimeout(context.Background(), f.cfg.CallTimeout)
 			defer cancel()
 			reqBytes := req.WireBytes()
-			resp, err := f.tr.Update(cctx, f.place.nodes[node], req)
+			resp, err := f.tr.Update(cctx, f.place.nodes[n], req)
 			if err != nil {
-				f.nc[node].errors.Add(1)
-				f.obs.recordRPCError(node)
-				f.health.failure(node)
+				f.nc[n].errors.Add(1)
+				f.obs.recordRPCError(n)
+				f.health.failure(n)
 				mu.Lock()
 				if firstErr == nil {
-					firstErr = fmt.Errorf("cluster: update node %s: %w", f.place.nodes[node], err)
+					firstErr = fmt.Errorf("cluster: update node %s: %w", f.place.nodes[n], err)
 				}
 				mu.Unlock()
 				return
 			}
-			f.health.success(node)
+			f.health.success(n)
 			respBytes := resp.WireBytes()
-			nc := &f.nc[node]
+			nc := &f.nc[n]
 			nc.updates.Add(1)
 			nc.bytesSent.Add(reqBytes)
 			nc.bytesRecv.Add(respBytes)
-			f.obs.recordUpdate(node, reqBytes, respBytes)
+			f.obs.recordUpdate(n, reqBytes, respBytes)
 			mu.Lock()
 			if resp.ModeledNs > modeledNs {
 				modeledNs = resp.ModeledNs // nodes apply in parallel
 			}
+			inval += resp.Invalidations
 			mu.Unlock()
 		}()
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	f.stats.recordUpdate(int64(len(deltas)), modeledNs)
-	return nil
+	return modeledNs, inval, firstErr
 }
 
 // SetNodeDown marks the named node degraded, routing its ranges to
@@ -851,10 +681,6 @@ func (f *Frontend) prober() {
 	}
 }
 
-// Stats snapshots the frontend's cumulative serving statistics in the
-// serve.Stats shape the Inferencer contract promises.
-func (f *Frontend) Stats() serve.Stats { return f.stats.snapshot() }
-
 // ClusterStats snapshots the fabric-level supplement: per-node RPC
 // traffic, health, and the modeled interconnect total.
 func (f *Frontend) ClusterStats() ClusterStats {
@@ -877,24 +703,18 @@ func (f *Frontend) ClusterStats() ClusterStats {
 			cs.Nodes[i].Pressure = math.Float64frombits(nc.govPressure.Load())
 		}
 	}
-	f.stats.mu.Lock()
-	cs.NetworkNs = f.stats.netNs
-	cs.GatherBatches = f.stats.batches
-	f.stats.mu.Unlock()
+	f.mu.Lock()
+	cs.NetworkNs = f.netNs
+	cs.GatherBatches = f.batches
+	f.mu.Unlock()
 	return cs
 }
 
-// Close stops accepting requests, drains the queue (every already
-// admitted request is still served), waits for the gather workers, and
-// closes the transport. It is idempotent.
+// Close stops accepting requests, drains the scheduler (every already
+// admitted request is still served), and closes the transport. It is
+// idempotent.
 func (f *Frontend) Close() {
-	f.mu.Lock()
-	if !f.closed {
-		f.closed = true
-		close(f.queue)
-	}
-	f.mu.Unlock()
-	f.wg.Wait()
+	f.Server.Close()
 	f.shutdown.Do(func() {
 		if f.stopProbe != nil {
 			close(f.stopProbe)

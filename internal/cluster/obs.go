@@ -21,7 +21,6 @@ type clusterObs struct {
 	bytesIn   []*obs.Counter
 
 	batches   *obs.Counter
-	shed      *obs.Counter
 	gatherNs  *obs.Histogram
 	networkNs *obs.Histogram
 }
@@ -67,8 +66,6 @@ func newClusterObs(reg *obs.Registry, nodes []string, h *health) *clusterObs {
 	}
 	o.batches = reg.Counter("cluster_gather_batches_total",
 		"Completed fan-out/gather micro-batches.")
-	o.shed = reg.Counter("cluster_shed_total",
-		"Requests shed at the frontend's full admission queue.")
 	o.gatherNs = reg.Histogram("cluster_gather_wall_ns",
 		"Measured wall time of one micro-batch's fan-out/gather cycle.",
 		obs.ExpBuckets(1e3, 4, 11))
@@ -124,11 +121,4 @@ func (o *clusterObs) recordBatch(gatherWallNs, networkNs float64) {
 	o.batches.Inc()
 	o.gatherNs.Observe(gatherWallNs)
 	o.networkNs.Observe(networkNs)
-}
-
-func (o *clusterObs) recordShed() {
-	if o == nil {
-		return
-	}
-	o.shed.Inc()
 }

@@ -1,13 +1,6 @@
 package cluster
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"updlrm/internal/serve"
-)
+import "sync/atomic"
 
 // NodeStats is one backend's cumulative fabric traffic as seen from the
 // frontend.
@@ -61,130 +54,4 @@ type nodeCounters struct {
 	// pressure as float64 bits.
 	govBand     atomic.Uint32
 	govPressure atomic.Uint64
-}
-
-// collector accumulates the frontend's serving statistics into a
-// serve.Stats-compatible snapshot (so the Inferencer contract's Stats
-// means the same thing for both deployment shapes) plus the
-// cluster-specific per-node counters.
-type collector struct {
-	mu       sync.Mutex
-	lats     []float64
-	queues   []float64
-	perClass [serve.NumClasses]struct {
-		lats, queues []float64
-		shed         int64
-	}
-	errors    int64
-	batches   int64
-	mramBytes int64
-	netNs     float64
-	updBatch  int64
-	updRows   int64
-	updNs     float64
-	first     time.Time
-	last      time.Time
-}
-
-func (c *collector) record(resp serve.Response) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.first.IsZero() {
-		c.first = now
-	}
-	c.last = now
-	c.lats = append(c.lats, resp.ModeledNs())
-	c.queues = append(c.queues, resp.QueueNs)
-	agg := &c.perClass[resp.Class]
-	agg.lats = append(agg.lats, resp.ModeledNs())
-	agg.queues = append(agg.queues, resp.QueueNs)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordBatch(mramBytes int64, netNs float64) {
-	c.mu.Lock()
-	c.batches++
-	c.mramBytes += mramBytes
-	c.netNs += netNs
-	c.mu.Unlock()
-}
-
-func (c *collector) recordShed(cl serve.Class) {
-	c.mu.Lock()
-	c.perClass[cl].shed++
-	c.mu.Unlock()
-}
-
-func (c *collector) recordError(n int) {
-	c.mu.Lock()
-	c.errors += int64(n)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordUpdate(rows int64, modeledNs float64) {
-	c.mu.Lock()
-	c.updBatch++
-	c.updRows += rows
-	c.updNs += modeledNs
-	c.mu.Unlock()
-}
-
-// summarize mirrors the serving tier's percentile convention (copy,
-// sort, nearest-rank).
-func summarize(v []float64) (mean, p50, p95, p99, maxv float64) {
-	if len(v) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	v = append([]float64(nil), v...)
-	sort.Float64s(v)
-	var sum float64
-	for _, x := range v {
-		sum += x
-	}
-	return sum / float64(len(v)),
-		serve.Percentile(v, 0.50), serve.Percentile(v, 0.95), serve.Percentile(v, 0.99),
-		v[len(v)-1]
-}
-
-func (c *collector) snapshot() serve.Stats {
-	c.mu.Lock()
-	lats := c.lats
-	queues := c.queues
-	var perClass [serve.NumClasses]struct {
-		lats, queues []float64
-		shed         int64
-	}
-	perClass = c.perClass
-	st := serve.Stats{
-		Requests:        int64(len(c.lats)),
-		Errors:          c.errors,
-		Batches:         c.batches,
-		MRAMBytesRead:   c.mramBytes,
-		UpdateBatches:   c.updBatch,
-		UpdatedRows:     c.updRows,
-		UpdateModeledNs: c.updNs,
-	}
-	first, last := c.first, c.last
-	c.mu.Unlock()
-
-	for i := range perClass {
-		cs := &st.PerClass[i]
-		cs.Requests = int64(len(perClass[i].lats))
-		cs.Shed = perClass[i].shed
-		st.Shed += perClass[i].shed
-		cs.MeanNs, cs.P50Ns, cs.P95Ns, cs.P99Ns, cs.MaxNs = summarize(perClass[i].lats)
-		_, cs.QueueP50Ns, cs.QueueP95Ns, cs.QueueP99Ns, _ = summarize(perClass[i].queues)
-	}
-	if st.Batches > 0 {
-		st.AvgBatchSize = float64(st.Requests) / float64(st.Batches)
-	}
-	if len(lats) == 0 {
-		return st
-	}
-	st.MeanNs, st.P50Ns, st.P95Ns, st.P99Ns, st.MaxNs = summarize(lats)
-	st.AvgQueueNs, st.QueueP50Ns, st.QueueP95Ns, st.QueueP99Ns, _ = summarize(queues)
-	if span := last.Sub(first).Seconds(); span > 0 {
-		st.ThroughputRPS = float64(len(lats)) / span
-	}
-	return st
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -34,6 +35,9 @@ const (
 	// maxFrameBytes bounds one frame; larger lengths are treated as a
 	// corrupt stream.
 	maxFrameBytes = 1 << 30
+	// frameChunkBytes is the most readFrame allocates before any of the
+	// frame's bytes have arrived.
+	frameChunkBytes = 1 << 20
 )
 
 // Wire error codes: which sentinel the remote error maps back to.
@@ -98,7 +102,11 @@ func writeFrame(w io.Writer, op byte, payload []byte) error {
 	return nil
 }
 
-// readFrame reads one frame, returning its op and payload.
+// readFrame reads one frame, returning its op and payload. The header's
+// length is a claim, not a fact: the buffer starts at no more than
+// frameChunkBytes and at most doubles per read that actually delivered,
+// so a peer that sends four bytes cannot make this side allocate a
+// gigabyte. Frames up to frameChunkBytes still cost one allocation.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -108,11 +116,19 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n < 1 || n > maxFrameBytes {
 		return 0, nil, fmt.Errorf("cluster: bad frame length %d", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	size := int(n)
+	body := make([]byte, min(size, frameChunkBytes))
+	for have := 0; ; {
+		if _, err := io.ReadFull(r, body[have:]); err != nil {
+			return 0, nil, err
+		}
+		have = len(body)
+		if have == size {
+			return body[0], body[1:], nil
+		}
+		grow := min(size-have, have)
+		body = slices.Grow(body, grow)[:have+grow]
 	}
-	return body[0], body[1:], nil
 }
 
 // TCPTransport dials backend nodes by their configured names

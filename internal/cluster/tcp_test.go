@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"net"
+	"runtime"
 	"testing"
 
 	"updlrm/internal/serve"
@@ -182,5 +184,61 @@ func TestTCPWireErrors(t *testing.T) {
 	// Unknown address → plain dial error, not a wire error.
 	if err := tr.Ping(ctx, "127.0.0.1:1"); err == nil {
 		t.Fatal("ping to closed port succeeded")
+	}
+}
+
+// TestReadFrameHostileLength: a header claiming a 1 GiB frame followed
+// by EOF must fail having allocated only the first chunk, not the
+// claim.
+func TestReadFrameHostileLength(t *testing.T) {
+	hdr := []byte{0x40, 0, 0, 0}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 1 GiB frame read without error")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 2<<20 {
+		t.Fatalf("readFrame allocated %d bytes for a 4-byte input, want < 2 MiB", d)
+	}
+}
+
+// TestReadFrameSizes: a frame below the first chunk costs one body
+// allocation (plus the header array, which escapes through io.Reader),
+// and a frame several chunks long survives the grow-as-bytes-arrive
+// path intact.
+func TestReadFrameSizes(t *testing.T) {
+	frame := func(n int) ([]byte, []byte) {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i * 7)
+		}
+		var buf bytes.Buffer
+		if err := writeFrame(&buf, opLookup, payload); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), payload
+	}
+
+	small, _ := frame(64 << 10)
+	var r bytes.Reader
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(small)
+		if _, _, err := readFrame(&r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("64 KiB frame cost %v allocations, want 2 (header + body)", allocs)
+	}
+
+	big, want := frame(3*frameChunkBytes + 17)
+	op, got, err := readFrame(bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op != opLookup || !bytes.Equal(got, want) {
+		t.Fatalf("multi-chunk frame corrupted: op %d, %d bytes (want %d)", op, len(got), len(want))
 	}
 }

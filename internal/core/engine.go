@@ -57,7 +57,7 @@ type Config struct {
 	// workspaces the host pool shards row-blocks over). Zero means one
 	// worker per host core (capped at maxHostWorkers); multi-engine deployments
 	// (serving shards) should divide the cores among replicas so the
-	// pools do not oversubscribe the machine — serve.NewReplicated does.
+	// pools do not oversubscribe the machine — serve.NewShards does.
 	HostWorkers int
 	// WriteRatio is the expected embedding-update traffic (row deltas
 	// per lookup) the deployment will sustain. It flows into the shape

@@ -153,7 +153,7 @@ func runHotCacheCell(model *dlrm.Model, profile *trace.Trace, live []trace.Sampl
 		return HotCacheRow{}, err
 	}
 	ecfg.HotCache = cache
-	engines, err := serve.NewReplicated(model, profile, ecfg, 2)
+	engines, err := serve.NewShards(model, profile, []core.Config{ecfg, ecfg})
 	if err != nil {
 		return HotCacheRow{}, err
 	}

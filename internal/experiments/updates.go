@@ -221,7 +221,7 @@ func UpdateDrift(scale Scale) (*Report, []UpdateDriftRow, error) {
 		return nil, nil, err
 	}
 	ecfg.HotCache = cache
-	engines, err := serve.NewReplicated(model, profile, ecfg, 2)
+	engines, err := serve.NewShards(model, profile, []core.Config{ecfg, ecfg})
 	if err != nil {
 		return nil, nil, err
 	}

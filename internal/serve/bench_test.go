@@ -36,7 +36,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.Run(bench.name, func(b *testing.B) {
 			model, profile, ecfg := testFixture(b)
 			ecfg.Kernel = benchKernel(b)
-			engines, err := NewReplicated(model, profile, ecfg, 2)
+			engines, err := NewShards(model, profile, repeat(ecfg, 2))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -235,7 +235,7 @@ func (s *Server) prober() {
 		job := &updateJob{
 			probe:     true,
 			enq:       time.Now(),
-			remaining: len(s.engines),
+			remaining: len(s.execs),
 			done:      make(chan struct{}),
 		}
 		// Same send discipline as ApplyDeltas: the read lock keeps Close

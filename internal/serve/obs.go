@@ -118,8 +118,8 @@ func newServeObs(reg *obs.Registry, s *Server) *serveObs {
 		o.modeledNs[c] = modeled.With(l)
 		o.queueNs[c] = queueW.With(l)
 		o.spanNs[c] = span.With(l)
-		o.batches[c] = make([]*obs.Counter, len(s.engines))
-		for sh := range s.engines {
+		o.batches[c] = make([]*obs.Counter, len(s.execs))
+		for sh := range s.execs {
 			o.batches[c][sh] = batches.With(l, strconv.Itoa(sh))
 		}
 	}
@@ -220,7 +220,7 @@ func newServeObs(reg *obs.Registry, s *Server) *serveObs {
 		"Affine cost model's prediction for a single-request batch on the shard.", "shard")
 	profile := reg.GaugeVec("serve_router_profile_ns",
 		"Per-request EWMA of the shard's observed breakdown stage terms.", "shard", "stage")
-	for i := range s.engines {
+	for i := range s.execs {
 		p := &s.router.shards[i]
 		l := strconv.Itoa(i)
 		backlog.WithFunc(func() float64 {

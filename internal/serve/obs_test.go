@@ -25,7 +25,7 @@ func newObsServer(t *testing.T, shards int, scfg Config) (*Server, *obs.Registry
 		t.Fatal(err)
 	}
 	ecfg.HotCache = cache
-	engines, err := NewReplicated(model, profile, ecfg, shards)
+	engines, err := NewShards(model, profile, repeat(ecfg, shards))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestPipelinedWorkersMatchSerial(t *testing.T) {
 	n := 64
 
 	// Reference CTRs from a bare engine.
-	ref, err := NewReplicated(model, profile, ecfg, 1)
+	ref, err := NewShards(model, profile, repeat(ecfg, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func TestPipelinedWorkersMatchSerial(t *testing.T) {
 	wantCTR := append([]float32(nil), want.CTR...)
 
 	run := func(pipeline bool) ([]float32, Stats) {
-		engines, err := NewReplicated(model, profile, ecfg, 2)
+		engines, err := NewShards(model, profile, repeat(ecfg, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestPipelinedWorkersMatchSerial(t *testing.T) {
 // engine plus stats invariants.
 func TestPipelinedWorkersConcurrent(t *testing.T) {
 	model, profile, ecfg := testFixture(t)
-	engines, err := NewReplicated(model, profile, ecfg, 4)
+	engines, err := NewShards(model, profile, repeat(ecfg, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPipelinedWorkersConcurrent(t *testing.T) {
 	}
 	defer srv.Close()
 
-	ref, err := NewReplicated(model, profile, ecfg, 1)
+	ref, err := NewShards(model, profile, repeat(ecfg, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

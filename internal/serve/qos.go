@@ -489,7 +489,7 @@ const predWaitFreshnessNs = int64(250 * time.Millisecond)
 // Called only from the scheduler goroutine, once per DRR round.
 func (s *Server) publishWait(staged *[NumClasses][]*pending) {
 	backlogNs, perReqNs := s.router.waitBasis()
-	shards := float64(len(s.engines))
+	shards := float64(len(s.execs))
 	ahead := 0.0
 	for _, c := range classOrder {
 		ahead += float64(len(staged[c]) + len(s.classCh[c]))

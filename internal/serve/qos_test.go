@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -15,17 +14,6 @@ func TestClassString(t *testing.T) {
 		if got := c.String(); got != want {
 			t.Errorf("Class(%d).String() = %q, want %q", c, got, want)
 		}
-	}
-}
-
-// TestUnknownClassRejected: a request tagged with an out-of-range class
-// is a caller error, not a scheduling decision.
-func TestUnknownClassRejected(t *testing.T) {
-	srv, profile, _ := newTestServer(t, 1, Config{MaxBatch: 1})
-	s := profile.Samples[0]
-	_, err := srv.Predict(context.Background(), Request{Dense: s.Dense, Sparse: s.Sparse, Class: Class(9)})
-	if err == nil {
-		t.Fatal("unknown class accepted")
 	}
 }
 
@@ -56,138 +44,6 @@ func TestClassParamsDefaults(t *testing.T) {
 	ov := cfg.classParams(Batch)
 	if ov.weight != 3 || ov.maxBatch != 2 || ov.window != 0 || ov.depth != 5 {
 		t.Errorf("override params = %+v", ov)
-	}
-}
-
-// TestDRRFairnessUnderBatchPressure preloads the scheduler with a
-// sustained Batch-class backlog, then injects Critical traffic, with
-// the single worker parked so the whole contention is resolved by the
-// deficit scheduler alone. The recorded dispatch order is deterministic
-// (modeled costs, parked worker, windows disabled), and must show both
-// QoS guarantees in scheduling-slot units:
-//
-//   - bounded Critical delay: every Critical dispatches within a couple
-//     of DRR rounds of the release point, far earlier than its FIFO
-//     position behind the Batch flood;
-//   - no Batch starvation: while Critical backlog drains, Batch still
-//     receives at least its weight's share of every round.
-func TestDRRFairnessUnderBatchPressure(t *testing.T) {
-	const (
-		nBatch = 120
-		nCrit  = 30
-	)
-	srv, profile, _ := newTestServer(t, 1, Config{MaxBatch: 1, QueueDepth: 1024})
-
-	// Park the worker so no request completes until release; the
-	// scheduler stalls with one batch in flight, one queued at the
-	// shard, and one held mid-route.
-	proceed := make(chan struct{})
-	srv.testHookBatch = func(int, *microBatch) { <-proceed }
-	var mu sync.Mutex
-	var order []Class
-	var routed atomic.Int64
-	srv.testHookRoute = func(c Class, size, shard int) {
-		mu.Lock()
-		order = append(order, c)
-		mu.Unlock()
-		routed.Add(1)
-	}
-	var once sync.Once
-	release := func() { once.Do(func() { close(proceed) }) }
-	t.Cleanup(release)
-
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	predict := func(i int, c Class) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := profile.Samples[i%len(profile.Samples)]
-			if _, err := srv.Predict(ctx, Request{Dense: s.Dense, Sparse: s.Sparse, Class: c}); err != nil {
-				t.Errorf("request %d (%v): %v", i, c, err)
-			}
-		}()
-	}
-
-	// Sustained Batch pressure: the scheduler consumes exactly three
-	// (worker, shard queue, blocked route) and stalls.
-	for i := 0; i < nBatch; i++ {
-		predict(i, Batch)
-	}
-	waitFor(t, "scheduler to stall on batch flood", func() bool {
-		return routed.Load() == 3 && len(srv.classCh[Batch]) == nBatch-3
-	})
-	// Critical traffic arrives behind the flood.
-	for i := 0; i < nCrit; i++ {
-		predict(nBatch+i, Critical)
-	}
-	waitFor(t, "critical queue to fill", func() bool { return len(srv.classCh[Critical]) == nCrit })
-
-	release()
-	wg.Wait()
-	srv.Close()
-
-	mu.Lock()
-	seq := append([]Class(nil), order...)
-	mu.Unlock()
-	if len(seq) != nBatch+nCrit {
-		t.Fatalf("dispatched %d batches, want %d", len(seq), nBatch+nCrit)
-	}
-	// The pre-release dispatches are the three Batch requests the
-	// stalled pipeline already held; the contest starts after them.
-	post := seq[3:]
-	lastCrit := -1
-	for i, c := range post {
-		if c == Critical {
-			lastCrit = i
-		}
-	}
-	if lastCrit < 0 {
-		t.Fatal("no critical dispatch recorded")
-	}
-	// Bounded delay: with weights 16:1 the 30 Criticals fit in two DRR
-	// rounds (16+1, 14+1 dispatches); allow slack for round-boundary
-	// effects. Under FIFO they would sit behind the ~117 queued Batch
-	// requests.
-	if lastCrit >= 40 {
-		t.Fatalf("last critical dispatched at slot %d; DRR should finish them within ~32 slots", lastCrit)
-	}
-	if fifoSlot := nBatch - 3; lastCrit >= fifoSlot {
-		t.Fatalf("critical p100 slot %d not below its FIFO position %d", lastCrit, fifoSlot)
-	}
-	// Anti-starvation: while Critical backlog drained (the first
-	// lastCrit+1 slots), Batch still got dispatches. Its fair share of
-	// those slots is weight/(weight sum) = 1/17; require at least half
-	// of that (the acceptance bound: within 2x of fair share).
-	contested := post[:lastCrit+1]
-	batchServed := 0
-	for _, c := range contested {
-		if c == Batch {
-			batchServed++
-		}
-	}
-	fair := float64(len(contested)) * 1.0 / 17.0
-	if float64(batchServed) < fair/2 {
-		t.Fatalf("batch got %d of %d contested slots; fair share %.1f, want >= %.1f",
-			batchServed, len(contested), fair, fair/2)
-	}
-
-	st := srv.Stats()
-	if st.PerClass[Critical].Requests != nCrit || st.PerClass[Batch].Requests != nBatch {
-		t.Fatalf("per-class requests = %d critical / %d batch, want %d/%d",
-			st.PerClass[Critical].Requests, st.PerClass[Batch].Requests, nCrit, nBatch)
-	}
-	if st.PerClass[Normal].Requests != 0 {
-		t.Fatalf("Normal served %d requests, want 0", st.PerClass[Normal].Requests)
-	}
-	if st.PerClass[Critical].P99Ns <= 0 || st.PerClass[Batch].P99Ns <= 0 {
-		t.Fatalf("per-class percentiles missing: %+v", st.PerClass)
-	}
-	// The parked-worker backlog made every Batch request wait out the
-	// Critical drain: its queueing tail must dominate Critical's.
-	if st.PerClass[Critical].QueueP99Ns >= st.PerClass[Batch].QueueP99Ns {
-		t.Fatalf("critical queue p99 %.0f >= batch queue p99 %.0f",
-			st.PerClass[Critical].QueueP99Ns, st.PerClass[Batch].QueueP99Ns)
 	}
 }
 
@@ -247,7 +103,7 @@ func TestCriticalP99UnderMixedLoad(t *testing.T) {
 	// the QoS run lets Critical jump it.
 	const requests = 640
 	run := func(mixed bool) Stats {
-		engines, err := NewReplicated(model, profile, ecfg, 1)
+		engines, err := NewShards(model, profile, repeat(ecfg, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func TestHeteroRoutesToCheaperShard(t *testing.T) {
 	fast := ecfg.Clone()
 	slow := ecfg.Clone()
 	slow.TotalDPUs = 16
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{slow, fast})
+	engines, err := NewShards(model, profile, []core.Config{slow, fast})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestHeteroMethodsRouteAndStayBitIdentical(t *testing.T) {
 	uni.Method = partition.MethodUniform
 	non := ecfg.Clone()
 	non.Method = partition.MethodNonUniform
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{uni, non})
+	engines, err := NewShards(model, profile, []core.Config{uni, non})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestHeteroNonArithmeticBitIdenticalToHomogeneous(t *testing.T) {
 	a.HostWorkers = 1
 	b := ecfg.Clone()
 	b.HostWorkers = 3
-	engines, err := NewHeteroReplicated(model, profile, []core.Config{a, b})
+	engines, err := NewShards(model, profile, []core.Config{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"updlrm/internal/core"
-	"updlrm/internal/dlrm"
 	"updlrm/internal/governor"
 	"updlrm/internal/hotcache"
 	"updlrm/internal/metrics"
@@ -104,7 +103,7 @@ type Config struct {
 	Classes [NumClasses]ClassConfig
 	// ShardConfigs, when non-empty, makes the serving tier
 	// heterogeneous: constructors that build their own replicas (the
-	// facade's NewServer, NewHeteroReplicated) build shard i from
+	// facade's NewServer, through NewShards) build shard i from
 	// ShardConfigs[i] — different partition methods, tile shapes, cache
 	// or pipeline settings per replica — and Shards becomes
 	// len(ShardConfigs). serve.New itself ignores it (its engines are
@@ -280,6 +279,12 @@ type Server struct {
 	cfg   Config
 	class [NumClasses]classParams
 
+	// execs are the shard slots the scheduler dispatches to, one worker
+	// goroutine each. engines lists the local replicas behind them, for
+	// what only an engine offers (static cost probes, arena governance,
+	// stage instruments); it is empty when the executors are not local
+	// engines.
+	execs   []Executor
 	engines []*core.Engine
 
 	numTables    int
@@ -349,34 +354,6 @@ type Server struct {
 	testHookRoute func(class Class, size int, shard int)
 }
 
-// NewReplicated builds n independent engine replicas from one shared
-// config.
-//
-// Deprecated: use NewShards with the config repeated n times — the
-// homogeneous deployment is just the degenerate heterogeneous one. This
-// wrapper remains for source compatibility and will not grow new
-// behavior.
-func NewReplicated(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, n int) ([]*core.Engine, error) {
-	if n <= 0 {
-		n = DefaultShards
-	}
-	cfgs := make([]core.Config, n)
-	for i := range cfgs {
-		cfgs[i] = ecfg.Clone()
-	}
-	return NewShards(model, profile, cfgs)
-}
-
-// NewHeteroReplicated builds one engine replica per config.
-//
-// Deprecated: renamed to NewShards, which is the single constructor
-// both homogeneous and heterogeneous deployments go through. This
-// wrapper remains for source compatibility and will not grow new
-// behavior.
-func NewHeteroReplicated(model *dlrm.Model, profile *trace.Trace, cfgs []core.Config) ([]*core.Engine, error) {
-	return NewShards(model, profile, cfgs)
-}
-
 // New starts a server over the given engine replicas. All replicas must
 // serve the same model shape (their partitioning may differ — that is
 // the heterogeneous-shard case the router exists for). The server owns
@@ -385,8 +362,6 @@ func New(engines []*core.Engine, cfg Config) (*Server, error) {
 	if len(engines) == 0 {
 		return nil, fmt.Errorf("serve: no engines")
 	}
-	cfg.Shards = len(engines)
-	cfg = cfg.withDefaults()
 	first := engines[0]
 	for i, e := range engines[1:] {
 		if e.NumTables() != first.NumTables() || e.DenseDim() != first.DenseDim() {
@@ -396,19 +371,47 @@ func New(engines []*core.Engine, cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: replica %d does not share replica 0's hot cache", i+1)
 		}
 	}
+	execs := make([]Executor, len(engines))
+	for i, e := range engines {
+		execs[i] = EngineExecutor(e)
+	}
+	shape := Shape{RowsPerTable: first.RowsPerTable(), DenseDim: first.DenseDim(), EmbDim: first.EmbDim()}
+	return newServer(execs, engines, shape, cfg)
+}
+
+// NewWithExecutors starts a server whose shard slots are the given
+// executors — the constructor deployments that do not run local engine
+// replicas (the cluster frontend's gather executors) reach the
+// scheduler through. Cfg.Shards becomes len(execs); the engine-only
+// features (governor, re-probing, hot-cache stats) have nothing to act
+// on and stay off.
+func NewWithExecutors(execs []Executor, shape Shape, cfg Config) (*Server, error) {
+	if len(execs) == 0 {
+		return nil, fmt.Errorf("serve: no executors")
+	}
+	return newServer(execs, nil, shape, cfg)
+}
+
+// newServer is the one constructor behind New and NewWithExecutors.
+func newServer(execs []Executor, engines []*core.Engine, shape Shape, cfg Config) (*Server, error) {
+	cfg.Shards = len(execs)
+	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:          cfg,
+		execs:        execs,
 		engines:      engines,
-		numTables:    first.NumTables(),
-		rowsPerTable: first.RowsPerTable(),
-		denseDim:     first.DenseDim(),
-		embDim:       first.EmbDim(),
-		shardCh:      make([]chan *microBatch, len(engines)),
+		numTables:    len(shape.RowsPerTable),
+		rowsPerTable: shape.RowsPerTable,
+		denseDim:     shape.DenseDim,
+		embDim:       shape.EmbDim,
+		shardCh:      make([]chan *microBatch, len(execs)),
 		updateCh:     make(chan *updateJob, updateQueueDepth),
-		router:       newRouter(len(engines)),
+		router:       newRouter(len(execs)),
 		stats:        newCollector(),
 		tracer:       cfg.Tracer,
-		cache:        first.HotCache(),
+	}
+	if len(engines) > 0 {
+		s.cache = engines[0].HotCache()
 	}
 	for c := Class(0); c < NumClasses; c++ {
 		s.class[c] = cfg.classParams(c)
@@ -429,35 +432,25 @@ func New(engines []*core.Engine, cfg Config) (*Server, error) {
 	// goroutine starts: registration locks and allocates, the running
 	// hot path must not.
 	s.obs = newServeObs(cfg.Metrics, s)
-	// Seed each shard's cost profile from the engine's static probes —
-	// one single-request batch and one MaxBatch-sized batch, pinning the
-	// affine fixed-plus-marginal cost fit — so the very first batches
-	// already route toward the configuration predicted cheapest for
-	// their size; live observations take over via the EWMA. Engines are
-	// idle here, so the probes' use of the scratch arena is safe.
-	for i, eng := range engines {
-		var points []profilePoint
-		if bd, n, err := eng.EstimateBreakdown(1); err == nil {
-			points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-		}
-		if cfg.MaxBatch > 1 {
-			if bd, n, err := eng.EstimateBreakdown(cfg.MaxBatch); err == nil &&
-				(len(points) == 0 || n != points[0].n) {
-				points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-			}
-		}
-		s.router.seed(i, points)
-	}
+	// Seed each engine shard's cost profile from its static probes, so
+	// the very first batches already route toward the configuration
+	// predicted cheapest for their size; live observations take over via
+	// the EWMA. Engines are idle here, so the probes' use of the scratch
+	// arena is safe. Executors without an engine start unprofiled and
+	// route by backlog until their first batches report.
 	for i := range engines {
+		s.router.seed(i, s.probe(i))
+	}
+	for i := range execs {
 		s.shardCh[i] = make(chan *microBatch, shardChanCap)
 	}
 	s.wg.Add(1)
 	go s.scheduler()
-	for i := range engines {
+	for i := range execs {
 		s.wg.Add(1)
 		go s.worker(i)
 	}
-	if cfg.ReprobeInterval > 0 {
+	if cfg.ReprobeInterval > 0 && len(engines) > 0 {
 		s.reprobeStop = make(chan struct{})
 		s.wg.Add(1)
 		go s.prober()
@@ -466,6 +459,26 @@ func New(engines []*core.Engine, cfg Config) (*Server, error) {
 		s.gov.Start()
 	}
 	return s, nil
+}
+
+// probe runs an engine shard's static cost probes — one single-request
+// batch and one MaxBatch-sized batch, pinning the affine
+// fixed-plus-marginal cost fit. Only the shard's own worker (or the
+// constructor, before workers start) may call it: the probes use the
+// engine's scratch arena.
+func (s *Server) probe(shard int) []profilePoint {
+	eng := s.engines[shard]
+	var points []profilePoint
+	if bd, n, err := eng.EstimateBreakdown(1); err == nil {
+		points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
+	}
+	if s.cfg.MaxBatch > 1 {
+		if bd, n, err := eng.EstimateBreakdown(s.cfg.MaxBatch); err == nil &&
+			(len(points) == 0 || n != points[0].n) {
+			points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
+		}
+	}
+	return points
 }
 
 // Config returns the normalized runtime configuration.
@@ -587,8 +600,8 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 	}
 }
 
-// worker owns one engine replica: it turns each routed micro-batch into
-// a trace.Batch, runs it, reports the observed breakdown back to the
+// worker owns one executor: it turns each routed micro-batch into a
+// trace.Batch, runs it, reports the observed breakdown back to the
 // shard's cost profile, and fans results back out per request. With
 // pipelining enabled for the shard it overlaps consecutive
 // micro-batches on the greedy LINK/DPUS/HOST schedule of internal/core's
@@ -598,7 +611,7 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 // during batch i's lookup kernels.
 func (s *Server) worker(shard int) {
 	defer s.wg.Done()
-	eng := s.engines[shard]
+	exec := s.execs[shard]
 	pipelined := s.cfg.pipelineFor(shard)
 	// Pipelined-mode state: the resource schedule, the serial-rule
 	// completion clock it is compared against, and the wall-clock anchor
@@ -660,7 +673,7 @@ func (s *Server) worker(shard int) {
 			tr.Samples = append(tr.Samples, trace.Sample{Dense: p.req.Dense, Sparse: p.req.Sparse})
 		}
 		batch.Reset(&tr, 0, len(pend))
-		res, err := eng.RunBatch(&batch)
+		ctr, bd, mram, err := runBatch(exec, &batch)
 		if err != nil {
 			for _, p := range pend {
 				p.done <- outcome{err: fmt.Errorf("serve: shard %d: %w", shard, err)}
@@ -683,10 +696,10 @@ func (s *Server) worker(shard int) {
 				anchor = dispatch
 			}
 			arrival := float64(dispatch.Sub(anchor).Nanoseconds())
-			serialEnd := max(arrival, serialFree) + res.Breakdown.TotalNs()
+			serialEnd := max(arrival, serialFree) + bd.TotalNs()
 			serialFree = serialEnd
 			serialLat = serialEnd - arrival
-			pipeLat = sched.Schedule(arrival, res.Breakdown) - arrival
+			pipeLat = sched.Schedule(arrival, bd) - arrival
 			// The schedule adds stages incrementally while TotalNs sums
 			// them in one pass; fp associativity can leave pipeLat a few
 			// ulps above serialLat on an idle shard. Overlap never
@@ -700,19 +713,19 @@ func (s *Server) worker(shard int) {
 		// total otherwise. Each request's SpanNs adds its own measured
 		// queue wait — per-request attribution inside the coalesced
 		// batch, not the batch's shared number.
-		residency := res.Breakdown.TotalNs()
+		residency := bd.TotalNs()
 		if pipelined {
 			residency = pipeLat
 		}
 		for i, p := range pend {
 			queueNs := float64(dispatch.Sub(p.enq).Nanoseconds())
 			resp := Response{
-				CTR:         res.CTR[i],
+				CTR:         ctr[i],
 				Class:       mb.class,
 				Shard:       shard,
 				BatchSize:   len(pend),
 				QueueNs:     queueNs,
-				Breakdown:   res.Breakdown,
+				Breakdown:   bd,
 				PipelinedNs: pipeLat,
 				SpanNs:      queueNs + residency,
 			}
@@ -723,8 +736,8 @@ func (s *Server) worker(shard int) {
 				s.traceRequest(&trec, seq, &resp, dispatch)
 			}
 		}
-		s.stats.recordBatch(res.MRAMBytesRead, serialLat, pipeLat)
-		s.router.complete(shard, mb.predNs, res.Breakdown, len(pend))
+		s.stats.recordBatch(mram, serialLat, pipeLat)
+		s.router.complete(shard, mb.predNs, bd, len(pend))
 		putMicroBatch(mb)
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -36,10 +35,20 @@ func testFixture(t testing.TB) (*dlrm.Model, *trace.Trace, core.Config) {
 	return model, profile, cfg
 }
 
+// repeat is the homogeneous deployment's config list: n shards of one
+// engine config.
+func repeat(ecfg core.Config, n int) []core.Config {
+	cfgs := make([]core.Config, n)
+	for i := range cfgs {
+		cfgs[i] = ecfg
+	}
+	return cfgs
+}
+
 func newTestServer(t *testing.T, shards int, scfg Config) (*Server, *trace.Trace, *core.Engine) {
 	t.Helper()
 	model, profile, ecfg := testFixture(t)
-	engines, err := NewReplicated(model, profile, ecfg, shards)
+	engines, err := NewShards(model, profile, repeat(ecfg, shards))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,26 +81,6 @@ func TestServerShapeAccessors(t *testing.T) {
 	}
 	if got := srv.Config().Shards; got != 2 {
 		t.Fatalf("Shards = %d, want 2", got)
-	}
-}
-
-func TestServerValidation(t *testing.T) {
-	srv, profile, _ := newTestServer(t, 1, Config{MaxBatch: 1})
-	ctx := context.Background()
-	s := profile.Samples[0]
-
-	if _, err := srv.Predict(ctx, Request{Dense: s.Dense[:1], Sparse: s.Sparse}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("short dense vector: err = %v, want ErrBadRequest", err)
-	}
-	if _, err := srv.Predict(ctx, Request{Dense: s.Dense, Sparse: s.Sparse[:1]}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("missing sparse sets: err = %v, want ErrBadRequest", err)
-	}
-	bad := make([][]int32, profile.NumTables)
-	for i := range bad {
-		bad[i] = []int32{int32(profile.RowsPerTable[i])} // one past the end
-	}
-	if _, err := srv.Predict(ctx, Request{Dense: s.Dense, Sparse: bad}); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("out-of-range index: err = %v, want ErrBadRequest", err)
 	}
 }
 
@@ -332,10 +321,13 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestNewReplicatedRejectsBadInput(t *testing.T) {
-	_, profile, ecfg := testFixture(t)
-	if _, err := NewReplicated(nil, profile, ecfg, 2); err == nil {
+func TestConstructorsRejectBadInput(t *testing.T) {
+	model, profile, ecfg := testFixture(t)
+	if _, err := NewShards(nil, profile, repeat(ecfg, 2)); err == nil {
 		t.Fatal("nil model accepted")
+	}
+	if _, err := NewShards(model, profile, nil); err == nil {
+		t.Fatal("empty shard config list accepted")
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("empty engine set accepted")

@@ -4,7 +4,7 @@ package serve
 // scheduler as predictions but as a distinct control-plane stream. One
 // ApplyDeltas call becomes one updateJob the scheduler broadcasts to
 // every shard's FIFO channel ahead of further micro-batches; each
-// worker applies it through its engine (which swaps in the
+// worker applies it through its executor (a local engine swaps in the
 // copy-on-write overlay, bumps row versions and invalidates the shared
 // hot cache) and the call returns only when every replica has applied
 // the deltas — after which no Predict on any shard can observe a
@@ -93,7 +93,7 @@ func (s *Server) ApplyDeltas(ctx context.Context, deltas []Delta) error {
 	job := &updateJob{
 		deltas:    make([]Delta, len(deltas)),
 		enq:       time.Now(),
-		remaining: len(s.engines),
+		remaining: len(s.execs),
 		done:      make(chan struct{}),
 	}
 	for i, d := range deltas {
@@ -134,18 +134,7 @@ func (s *Server) ApplyDeltas(ctx context.Context, deltas []Delta) error {
 // drifted profile honest. The last shard to finish counts the re-probe
 // and releases the prober.
 func (s *Server) applyProbe(shard int, job *updateJob) {
-	eng := s.engines[shard]
-	var points []profilePoint
-	if bd, n, err := eng.EstimateBreakdown(1); err == nil {
-		points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-	}
-	if s.cfg.MaxBatch > 1 {
-		if bd, n, err := eng.EstimateBreakdown(s.cfg.MaxBatch); err == nil &&
-			(len(points) == 0 || n != points[0].n) {
-			points = append(points, profilePoint{n: n, cost: bd.TotalNs(), bd: bd})
-		}
-	}
-	s.router.reseed(shard, points)
+	s.router.reseed(shard, s.probe(shard))
 
 	job.mu.Lock()
 	job.remaining--
@@ -158,35 +147,13 @@ func (s *Server) applyProbe(shard int, job *updateJob) {
 	}
 }
 
-// applyUpdate runs one broadcast update on this worker's engine,
-// grouping the job's deltas per table. The last shard to finish records
-// the job's stats and releases the waiting ApplyDeltas call.
+// applyUpdate runs one broadcast update on this worker's executor. The
+// last shard to finish records the job's stats and releases the waiting
+// ApplyDeltas call.
 func (s *Server) applyUpdate(shard int, job *updateJob) {
-	eng := s.engines[shard]
-	var firstErr error
-	var inval int64
-	var modeled float64
-	for t := 0; t < s.numTables; t++ {
-		var rows []int32
-		var flat []float32
-		for _, d := range job.deltas {
-			if d.Table == t {
-				rows = append(rows, d.Row)
-				flat = append(flat, d.Vec...)
-			}
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		res, err := eng.ApplyDeltas(t, rows, flat)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve: shard %d update: %w", shard, err)
-			}
-			continue
-		}
-		inval += res.Invalidations
-		modeled += res.Breakdown.UpdateNs
+	modeled, inval, err := applyDeltas(s.execs[shard], job.deltas)
+	if err != nil {
+		err = fmt.Errorf("serve: shard %d update: %w", shard, err)
 	}
 
 	job.mu.Lock()
@@ -194,8 +161,8 @@ func (s *Server) applyUpdate(shard int, job *updateJob) {
 	if modeled > job.modeledNs {
 		job.modeledNs = modeled // shards apply in parallel; charge the slowest
 	}
-	if firstErr != nil && job.err == nil {
-		job.err = firstErr
+	if err != nil && job.err == nil {
+		job.err = err
 	}
 	job.remaining--
 	last := job.remaining == 0

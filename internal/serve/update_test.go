@@ -25,40 +25,6 @@ func dedupRows(bag []int32) []int32 {
 	return rows
 }
 
-func TestApplyDeltasValidationServe(t *testing.T) {
-	srv, profile, ref := newTestServer(t, 1, Config{MaxBatch: 1})
-	ctx := context.Background()
-	dim := ref.EmbDim()
-	good := make([]float32, dim)
-
-	cases := []struct {
-		name   string
-		deltas []Delta
-	}{
-		{"empty", nil},
-		{"bad table", []Delta{{Table: profile.NumTables, Row: 0, Vec: good}}},
-		{"negative row", []Delta{{Table: 0, Row: -1, Vec: good}}},
-		{"row past end", []Delta{{Table: 0, Row: int32(profile.RowsPerTable[0]), Vec: good}}},
-		{"short vec", []Delta{{Table: 0, Row: 0, Vec: good[:dim-1]}}},
-	}
-	for _, c := range cases {
-		if err := srv.ApplyDeltas(ctx, c.deltas); !errors.Is(err, ErrBadRequest) {
-			t.Errorf("%s: err = %v, want ErrBadRequest", c.name, err)
-		}
-	}
-
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if err := srv.ApplyDeltas(cancelled, []Delta{{Table: 0, Row: 0, Vec: good}}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: err = %v", err)
-	}
-
-	srv.Close()
-	if err := srv.ApplyDeltas(ctx, []Delta{{Table: 0, Row: 0, Vec: good}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("after Close: err = %v, want ErrClosed", err)
-	}
-}
-
 // TestApplyDeltasCoherent is the serving-tier acceptance test: after
 // ApplyDeltas returns, no Predict on any shard may observe a pre-delta
 // embedding. A writer streams updates to the rows a probe sample reads,
@@ -221,7 +187,7 @@ func TestApplyDeltasInvalidatesSharedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	ecfg.HotCache = cache
-	engines, err := NewReplicated(model, profile, ecfg, 2)
+	engines, err := NewShards(model, profile, repeat(ecfg, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +266,7 @@ func TestApplyDeltasInvalidatesSharedCache(t *testing.T) {
 func BenchmarkServeMixedRW(b *testing.B) {
 	model, profile, ecfg := testFixture(b)
 	ecfg.Kernel = benchKernel(b)
-	engines, err := NewReplicated(model, profile, ecfg, 2)
+	engines, err := NewShards(model, profile, repeat(ecfg, 2))
 	if err != nil {
 		b.Fatal(err)
 	}
