@@ -157,7 +157,7 @@ func TestArenaResultsMatchFreshEngine(t *testing.T) {
 
 // TestArenaReuseWithHotCache runs the stale-bleed interleaving with a
 // live hot-row cache: the cache split path shares the same arena
-// (coldScratch, cacheVec, flat embeddings) and must stay correct as
+// (coldScratch, flat embeddings) and must stay correct as
 // batch shapes change. Cache state advances between passes, so instead
 // of bitwise-replaying, every pass is checked against the CPU
 // reference.

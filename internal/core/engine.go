@@ -161,17 +161,18 @@ type Engine struct {
 	// read-only model weights, so HostPool.Forward can shard GEMM
 	// row-blocks across the host bit-identically to the serial path.
 	hostPool *dlrm.HostPool
-	// offerFills[t] materializes the admission candidate sc.offerRow of
-	// table t for the hot-row cache (returning the row's version for
-	// the entry stamp) — prebuilt so the per-row cache loop does not
-	// allocate closures.
-	offerFills []func(dst []float32) uint64
+	// offerFills[t] materializes a row of table t that the hot-row cache
+	// admits (returning the row's version for the entry stamp) — prebuilt
+	// so the cache split in runWave does not allocate closures.
+	offerFills []func(row int32, dst []float32) uint64
 	// profile is the construction profile trace, retained so
 	// EstimateBreakdown can assemble representative probe batches after
 	// construction (serving routers seed per-shard cost priors from it).
 	profile *trace.Trace
-	// sc is the per-engine scratch arena RunBatch recycles.
+	// sc is the per-engine scratch arena RunBatch recycles; up is
+	// ApplyDeltas' counterpart.
 	sc scratch
+	up updateScratch
 	// arenaBytes is the scratch arena's recycled footprint as of the
 	// last completed batch; arenaCap, when positive, bounds it — the
 	// memory governor's lever on engine growth. Both are atomics so the
@@ -205,12 +206,8 @@ type scratch struct {
 	step upmem.StepResult
 	// cover plans cache-aware group reads without per-sample maps.
 	cover grace.CoverPlanner
-	// coldScratch collects a sample's cache-missing rows; cacheVec is
-	// the hot-row probe buffer; offerRow is the admission candidate the
-	// prebuilt offerFills closures read.
+	// coldScratch collects a sample's cache-missing rows.
 	coldScratch []int32
-	cacheVec    []float32
-	offerRow    int32
 }
 
 // Result is one batch's outcome.
@@ -406,16 +403,15 @@ func New(model *dlrm.Model, profile *trace.Trace, cfg Config) (*Engine, error) {
 		e.fetchers = append(e.fetchers, dpuFetchers)
 	}
 
-	// Per-table admission fills for the hot-row cache: each reads the
-	// scratch's offerRow, so the per-row cache loop allocates no
-	// closures.
+	// Per-table admission fills for the hot-row cache. The table is
+	// re-read per call, as the fetchers do, so a fill sees the overlay.
 	dim := model.Cfg.EmbDim
 	e.mutables = make([]emt.MutableTable, numTables)
 	for t := range e.tables {
-		e.offerFills = append(e.offerFills, func(dst []float32) uint64 {
-			e.tables[t].ReadCols(int(e.sc.offerRow), 0, dim, dst)
+		e.offerFills = append(e.offerFills, func(row int32, dst []float32) uint64 {
+			e.tables[t].ReadCols(int(row), 0, dim, dst)
 			if mt := e.mutables[t]; mt != nil {
-				return mt.Version(int(e.sc.offerRow))
+				return mt.Version(int(row))
 			}
 			return 0
 		})
@@ -439,7 +435,6 @@ func New(model *dlrm.Model, profile *trace.Trace, cfg Config) (*Engine, error) {
 	e.sc.jobStore = make([]upmem.KernelJob, cfg.TotalDPUs)
 	e.sc.pushSizes = make([]int64, cfg.TotalDPUs)
 	e.sc.pullSizes = make([]int64, cfg.TotalDPUs)
-	e.sc.cacheVec = make([]float32, dim)
 	return e, nil
 }
 
@@ -522,7 +517,6 @@ func (e *Engine) arenaFootprint() int64 {
 	n := sc.embs.CapBytes()
 	n += int64(cap(sc.ctr)) * 4
 	n += int64(cap(sc.coldScratch)) * 4
-	n += int64(cap(sc.cacheVec)) * 4
 	n += int64(cap(sc.pushSizes))*8 + int64(cap(sc.pullSizes))*8
 	n += int64(cap(sc.jobs)) * 8
 	for i := range sc.jobStore {
@@ -659,22 +653,11 @@ func (e *Engine) runWave(b *trace.Batch, lo, hi int, res *Result) error {
 			if cache != nil {
 				// Split the sample's rows: hits aggregate host-side into
 				// the final embedding, misses continue to the DPU path.
-				sc.coldScratch = sc.coldScratch[:0]
-				dst := sc.embs.At(s, t)
-				for _, row := range indices {
-					sc.offerRow = row
-					hit, admitted := cache.LookupOrOffer(t, row, sc.cacheVec, e.offerFills[t])
-					if hit {
-						tensor.Add(sc.cacheVec, dst)
-						waveHits++
-					} else {
-						if admitted {
-							waveAdmits++
-						}
-						sc.coldScratch = append(sc.coldScratch, row)
-						waveMisses++
-					}
-				}
+				var n hotcache.BagCounts
+				sc.coldScratch, n = cache.ProbeBag(t, indices, sc.embs.At(s, t), sc.coldScratch[:0], e.offerFills[t])
+				waveHits += n.Hits
+				waveMisses += n.Misses
+				waveAdmits += n.Admitted
 				indices = sc.coldScratch
 				if len(indices) > 0 {
 					activeSamples++

@@ -186,6 +186,92 @@ func TestHotCacheReducesTrafficAndLatency(t *testing.T) {
 	}
 }
 
+// TestHotCacheCountsDuplicateRows: a bag naming one row k times makes k
+// probes. Cold, the first occurrence misses and is admitted and the
+// other k-1 already hit; warm, all k hit and the sample never reaches
+// the DPUs, yet its embedding is still k copies of the row.
+func TestHotCacheCountsDuplicateRows(t *testing.T) {
+	model, tr := smallWorld(t)
+	const k = 5
+	row := int32(17)
+	b := trace.MakeBatch(tr, 0, 1)
+	for tb := range b.Idx {
+		b.Idx[tb] = b.Idx[tb][:0]
+		for i := 0; i < k; i++ {
+			b.Idx[tb] = append(b.Idx[tb], row)
+		}
+		b.Off[tb] = []int32{0, k}
+	}
+	cache, err := hotcache.New(hotcache.Config{CapacityBytes: 1 << 16, Seed: 3}, model.Cfg.EmbDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smallConfig(partition.MethodUniform)
+	cfg.HotCache = cache
+	eng, err := New(model, tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := int64(len(b.Idx))
+	for pass, want := range [][2]int64{{(k - 1) * tables, tables}, {k * tables, 0}} {
+		res, err := eng.RunBatch(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.HostCacheHits != want[0] || res.HostCacheMisses != want[1] {
+			t.Fatalf("pass %d: %d hits / %d misses, want %d / %d",
+				pass, res.HostCacheHits, res.HostCacheMisses, want[0], want[1])
+		}
+		ref := dlrm.EmbedCPU(model, b)
+		for tb := range b.Idx {
+			if !tensor.AlmostEqual(res.Embeddings.At(0, tb), ref[0][tb], 1e-4) {
+				t.Fatalf("pass %d: table %d embedding is not %d copies of the row", pass, tb, k)
+			}
+		}
+	}
+}
+
+// TestWarmCacheWaveAllocatesNothing: with the cache warm, the cache
+// split of a kernel wave — bag probes and the admissions and evictions
+// they trigger — performs no heap allocation: the wave allocates exactly
+// what a cache-less wave does (upmem.RunStepInto's one dispatch closure).
+func TestWarmCacheWaveAllocatesNothing(t *testing.T) {
+	model, tr := smallWorld(t)
+	// Alternate two batches so the cache keeps admitting and evicting.
+	batches := []*trace.Batch{trace.MakeBatch(tr, 0, 32), trace.MakeBatch(tr, 32, 64)}
+	waveAllocs := func(cache *hotcache.Cache) float64 {
+		cfg := smallConfig(partition.MethodCacheAware)
+		cfg.HotCache = cache
+		eng, err := New(model, tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		i := 0
+		wave := func() {
+			b := batches[i%2]
+			i++
+			eng.sc.embs.Reset(b.Size, len(eng.plans), model.Cfg.EmbDim)
+			if err := eng.runWave(b, 0, b.Size, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for j := 0; j < 40; j++ {
+			wave() // size the arena
+		}
+		return testing.AllocsPerRun(20, wave)
+	}
+	cache := warmCache(t, model, tr, smallConfig(partition.MethodCacheAware), 0.02)
+	before := cache.Stats()
+	if with, without := waveAllocs(cache), waveAllocs(nil); with != without {
+		t.Fatalf("%v allocations per warm cached wave, %v per cache-less wave", with, without)
+	}
+	after := cache.Stats()
+	if after.Hits == before.Hits || after.Admitted == before.Admitted || after.Evicted == before.Evicted {
+		t.Fatalf("the waves did not hit, admit and evict: before %+v after %+v", before, after)
+	}
+}
+
 // TestHotCacheDimMismatchRejected: an engine must refuse a shared cache
 // built for a different embedding width.
 func TestHotCacheDimMismatchRejected(t *testing.T) {

@@ -37,6 +37,26 @@ type UpdateResult struct {
 	Breakdown metrics.Breakdown
 }
 
+// updateScratch is ApplyDeltas' working storage, recycled from call to
+// call (the method is engine-serial, like the batch arena).
+type updateScratch struct {
+	writesPerPart       []int
+	refreshBytesPerPart []int64
+	pushSizes           []int64
+	touchedGroups       map[int32]bool
+}
+
+// zeroed returns s resized to n zero elements, reallocating only when
+// its capacity falls short.
+func zeroed[T int | int64](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // EmbDim returns the embedding dimension the engine serves.
 func (e *Engine) EmbDim() int { return e.model.Cfg.EmbDim }
 
@@ -86,9 +106,16 @@ func (e *Engine) ApplyDeltas(table int, rows []int32, deltas []float32) (UpdateR
 	plan := e.plans[table]
 	shape := plan.Shape
 	assign := e.assign[table]
-	writesPerPart := make([]int, shape.Parts)
-	refreshBytesPerPart := make([]int64, shape.Parts)
-	touchedGroups := make(map[int32]bool)
+	up := &e.up
+	up.writesPerPart = zeroed(up.writesPerPart, shape.Parts)
+	up.refreshBytesPerPart = zeroed(up.refreshBytesPerPart, shape.Parts)
+	up.pushSizes = zeroed(up.pushSizes, shape.DPUs())
+	if up.touchedGroups == nil {
+		up.touchedGroups = make(map[int32]bool)
+	}
+	clear(up.touchedGroups)
+	writesPerPart, refreshBytesPerPart := up.writesPerPart, up.refreshBytesPerPart
+	pushSizes, touchedGroups := up.pushSizes, up.touchedGroups
 	cache := e.cfg.HotCache
 	for i, r := range rows {
 		ver := mt.ApplyDelta(int(r), deltas[i*dim:(i+1)*dim])
@@ -113,7 +140,6 @@ func (e *Engine) ApplyDeltas(table int, rows []int32, deltas []float32) (UpdateR
 	// slice to every slice DPU of the row's partition (padded parallel
 	// transfer across the table's DPU group, as the read path does).
 	hw := e.cfg.HW
-	pushSizes := make([]int64, shape.DPUs())
 	for part := 0; part < shape.Parts; part++ {
 		bytes := int64(writesPerPart[part]) * int64(4+shape.Nc*4)
 		for sl := 0; sl < shape.Slices; sl++ {

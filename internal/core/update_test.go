@@ -275,6 +275,32 @@ func TestWriteRatioChangesPlanning(t *testing.T) {
 	}
 }
 
+// TestApplyDeltasAllocatesNothing: once every table has its overlay and
+// the engine's update scratch is sized, applying deltas to rows already
+// written allocates nothing.
+func TestApplyDeltasAllocatesNothing(t *testing.T) {
+	model, tr := smallWorld(t)
+	eng, err := New(model, tr, smallConfig(partition.MethodCacheAware))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int32{3, 17, 17, 250, 999}
+	deltas := make([]float32, len(rows)*eng.EmbDim())
+	table := 0
+	apply := func() {
+		if _, err := eng.ApplyDeltas(table%eng.NumTables(), rows, deltas); err != nil {
+			t.Fatal(err)
+		}
+		table++
+	}
+	for i := 0; i < eng.NumTables(); i++ {
+		apply() // first write per table builds its overlay rows
+	}
+	if allocs := testing.AllocsPerRun(50, apply); allocs != 0 {
+		t.Fatalf("%v allocations per ApplyDeltas, want 0", allocs)
+	}
+}
+
 func BenchmarkApplyDeltas(b *testing.B) {
 	model, tr := smallWorld(b)
 	cfg := smallConfig(partition.MethodCacheAware)

@@ -13,6 +13,19 @@
 // hot set from the live stream alone — no offline profiling pass — and
 // one-hit wonders never displace proven hot rows.
 //
+// Storage is a slab per segment (see shard): every vector slot, key,
+// version and LRU link a segment will ever use is allocated when its
+// capacity is set, admission writes the fill into the slot it will
+// occupy, and eviction hands the victim's slot to the next admission.
+// Probing, admitting, evicting and invalidating therefore allocate
+// nothing, and the slab holds no pointers for the collector to trace.
+//
+// The engine probes by bag: ProbeBag takes all of one sample's rows for
+// one table, sums the resident ones straight from the slab into the
+// sample's embedding, runs the admission duel for the rest, and holds
+// the segment lock across the whole bag instead of once per row.
+// Lookup, Offer and Invalidate are the same routine one row at a time.
+//
 // The cache is shared by all engine replicas of a serving deployment:
 // every shard probes and feeds the same instance, so a row made hot by
 // any shard's traffic is served host-side by all of them.
@@ -22,11 +35,14 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"updlrm/internal/tensor"
 )
 
-// EntryOverheadBytes approximates the bookkeeping cost per resident
-// row (map slot, list links, key) charged against CapacityBytes in
-// addition to the vector payload.
+// EntryOverheadBytes is the bookkeeping charged against CapacityBytes
+// per row of capacity, on top of the vector payload: the slot's key,
+// version and two LRU links (24 B), its cells of the half-empty index
+// (8-16 B) and its share of the segment's frequency sketch (16-32 B).
 const EntryOverheadBytes = 64
 
 // DefaultShards is the shard count when Config.Shards is zero.
@@ -91,37 +107,6 @@ func (s Stats) HitRate() float64 {
 		return 0
 	}
 	return float64(s.Hits) / float64(total)
-}
-
-// entry is one resident row on a shard's intrusive LRU list.
-type entry struct {
-	key uint64
-	vec []float32
-	// version is the row version the fill observed; Invalidate evicts
-	// entries whose version predates a delta.
-	version    uint64
-	prev, next *entry
-}
-
-// shard is one independently locked cache segment with its own map,
-// LRU list and frequency sketch.
-type shard struct {
-	mu       sync.Mutex
-	entries  map[uint64]*entry
-	capacity int
-	// head is most-recently used, tail is the eviction candidate.
-	head, tail *entry
-	sketch     *sketch
-	// neg remembers rows whose fill failed validation (key -> version at
-	// failure) so repeated bad-row offers short-circuit. Bounded by
-	// negCap; cleared wholesale when full (epoch reset).
-	neg    map[uint64]uint64
-	negCap int
-
-	hits, misses                int64
-	admitted, rejected, evicted int64
-	invalidations               int64
-	badFills, negHits           int64
 }
 
 // Cache is a concurrent hot-row embedding cache. The zero value of a
@@ -205,7 +190,7 @@ func New(cfg Config, dim int) (*Cache, error) {
 		}
 		c.capBytes.Store(cfg.CapacityBytes)
 		for i := range c.shards {
-			c.shards[i] = newShard(per, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
+			c.shards[i] = newShard(per, dim, cfg.Seed, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
 		}
 		return c, nil
 	}
@@ -231,7 +216,7 @@ func New(cfg Config, dim int) (*Cache, error) {
 	c.capBytes.Store(cfg.CapacityBytes)
 	per := totalEntries / nShards
 	for i := range c.shards {
-		c.shards[i] = newShard(per, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
+		c.shards[i] = newShard(per, dim, cfg.Seed, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return c, nil
 }
@@ -241,8 +226,10 @@ func New(cfg Config, dim int) (*Cache, error) {
 // shrink evicts each segment's LRU tail down to its new capacity —
 // version coherence is untouched, since eviction only removes entries
 // and the update path's Invalidate-by-version still governs what a
-// later re-fill may serve. A grow simply raises the caps and lets
-// admission refill. The segment count is fixed at construction, so
+// later re-fill may serve. A grow raises the caps and lets admission
+// refill. Either way each segment moves, under its lock, into a slab of
+// the new size, so a shrink does return memory (one allocation burst per
+// resize, none after). The segment count is fixed at construction, so
 // shrinking below one row per segment floors there (mirroring New's
 // per-segment floor). Non-positive budgets are rejected — a live cache
 // cannot be resized away — with the same error shape as New. Safe for
@@ -329,32 +316,26 @@ func (c *Cache) Rebalance(weights []float64) (evicted int, err error) {
 	return evicted, nil
 }
 
-// setCapacityLocked points one segment at a new entry capacity,
-// evicting down the LRU tail on a shrink and resizing the negative-
-// mark budget to match. Caller holds sh.mu; returns evictions.
+// setCapacityLocked points one segment at a new entry capacity: a
+// shrink evicts down the LRU tail first, and any change moves the
+// segment into a slab of the new size. Caller holds sh.mu; returns
+// evictions.
 func (sh *shard) setCapacityLocked(capacity int, c *Cache) (evicted int) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	for len(sh.entries) > capacity {
+	if capacity == sh.capacity {
+		return 0
+	}
+	for sh.n > capacity {
 		victim := sh.tail
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.evicted++
+		c.exportEvicted(sh.keys[victim])
+		sh.remove(victim)
+		sh.release(victim)
+		sh.counts.evicted++
 		evicted++
-		if tc := c.tc(victim.key); tc != nil {
-			tc.evicted.Inc()
-		}
 	}
-	sh.capacity = capacity
-	negCap := capacity
-	if negCap < 64 {
-		negCap = 64
-	}
-	sh.negCap = negCap
-	if len(sh.neg) > sh.negCap {
-		sh.neg = nil // epoch reset, as the admission path does
-	}
+	sh.reslab(capacity)
 	return evicted
 }
 
@@ -386,7 +367,7 @@ func (c *Cache) SizeBytes() int64 {
 	var entries int64
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		entries += int64(len(sh.entries))
+		entries += int64(sh.n)
 		sh.mu.Unlock()
 	}
 	return entries * (c.rowBytes + EntryOverheadBytes)
@@ -403,36 +384,27 @@ func (c *Cache) PerTable() []Stats {
 	out := make([]Stats, c.tables)
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		out[i] = Stats{
-			Hits:            sh.hits,
-			Misses:          sh.misses,
-			Admitted:        sh.admitted,
-			Rejected:        sh.rejected,
-			Evicted:         sh.evicted,
-			Entries:         len(sh.entries),
-			CapacityEntries: sh.capacity,
-			Invalidations:   sh.invalidations,
-			BadFills:        sh.badFills,
-			NegativeHits:    sh.negHits,
-			NegativeEntries: len(sh.neg),
-		}
+		out[i] = sh.statsLocked()
 		sh.mu.Unlock()
 		out[i].BytesSaved = out[i].Hits * c.rowBytes
 	}
 	return out
 }
 
-// newShard builds one cache segment holding up to capacity rows.
-func newShard(capacity int, sketchSeed uint64) *shard {
-	negCap := capacity
-	if negCap < 64 {
-		negCap = 64
-	}
-	return &shard{
-		entries:  make(map[uint64]*entry, capacity),
-		capacity: capacity,
-		negCap:   negCap,
-		sketch:   newSketch(capacity, sketchSeed),
+// statsLocked snapshots one segment. Caller holds sh.mu.
+func (sh *shard) statsLocked() Stats {
+	return Stats{
+		Hits:            sh.counts.hits,
+		Misses:          sh.counts.misses,
+		Admitted:        sh.counts.admitted,
+		Rejected:        sh.counts.rejected,
+		Evicted:         sh.counts.evicted,
+		Entries:         sh.n,
+		CapacityEntries: sh.capacity,
+		Invalidations:   sh.counts.invalidations,
+		BadFills:        sh.counts.badFills,
+		NegativeHits:    sh.counts.negHits,
+		NegativeEntries: len(sh.neg),
 	}
 }
 
@@ -460,6 +432,183 @@ func (c *Cache) shardFor(k uint64) *shard {
 	return c.shards[mix64(k^c.seed)&c.mask]
 }
 
+// probeMode selects what one probe of a row does beyond finding it.
+type probeMode uint8
+
+const (
+	// probeCount records the access in the frequency sketch, counts the
+	// hit or miss, and serves a hit into dst.
+	probeCount probeMode = 1 << iota
+	// probeSum serves a hit by adding it to dst rather than copying.
+	probeSum
+	// probeAdmit runs the admission duel on a miss.
+	probeAdmit
+)
+
+// probeLocked is the cache's one row routine, behind Lookup, Offer and
+// ProbeBag alike: find key k, refresh and (when counting) serve it if
+// resident, otherwise (when admitting) offer it. Counts go to d.
+// Caller holds sh.mu. Reports whether the row was resident.
+func (c *Cache) probeLocked(sh *shard, k uint64, row int32, mode probeMode, dst []float32,
+	fill func(row int32, dst []float32) uint64, d *counters) bool {
+	if mode&probeCount != 0 {
+		sh.sketch.Record(k)
+	}
+	if s := sh.find(k); s != noSlot {
+		// For an uncounted probe (an offer) this is a race with another
+		// engine's admission: refresh recency and leave.
+		sh.moveToFront(s)
+		if mode&probeCount != 0 {
+			if mode&probeSum != 0 {
+				tensor.Add(sh.vec(s), dst[:sh.dim])
+			} else {
+				copy(dst[:sh.dim], sh.vec(s))
+			}
+			d.hits++
+		}
+		return true
+	}
+	if mode&probeCount != 0 {
+		d.misses++
+	}
+	if mode&probeAdmit != 0 {
+		c.admitLocked(sh, k, row, fill, d)
+	}
+	return false
+}
+
+// admitLocked runs the admission duel for the absent key k: a free
+// slot admits outright, a full segment admits only when the candidate's
+// estimated frequency strictly beats the LRU victim's. The fill lands
+// in the spare slot and is validated there, so a corrupt row costs no
+// resident its place. Caller holds sh.mu.
+func (c *Cache) admitLocked(sh *shard, k uint64, row int32,
+	fill func(row int32, dst []float32) uint64, d *counters) {
+	if _, bad := sh.neg[k]; bad {
+		// Remembered bad row: skip the duel and the fill entirely.
+		d.negHits++
+		return
+	}
+	full := sh.n >= sh.capacity
+	if full && sh.sketch.Estimate(k) <= sh.sketch.Estimate(sh.keys[sh.tail]) {
+		d.rejected++
+		return
+	}
+	s := sh.spare
+	vec := sh.vec(s)
+	version := fill(row, vec)
+	if !validRow(vec) {
+		// Caching a corrupt vector would serve it forever; remember the
+		// row instead so repeated offers short-circuit until a delta
+		// (Invalidate) gives it a chance to heal.
+		d.badFills++
+		if len(sh.neg) >= sh.negCap {
+			sh.neg = nil // epoch reset keeps the mark set bounded
+		}
+		if sh.neg == nil {
+			sh.neg = make(map[uint64]uint64)
+		}
+		sh.neg[k] = version
+		return
+	}
+	if full {
+		victim := sh.tail
+		c.exportEvicted(sh.keys[victim])
+		sh.remove(victim)
+		sh.spare = victim
+		d.evicted++
+	} else {
+		sh.spare = sh.free
+		sh.free = sh.next[sh.free]
+	}
+	sh.insert(s, k, version)
+	d.admitted++
+}
+
+// validRow reports whether every element is finite (no NaN/Inf).
+func validRow(vec []float32) bool {
+	for _, v := range vec {
+		// x != x catches NaN; the subtraction check catches ±Inf
+		// without importing math for float32.
+		if v != v || v-v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// settle ends one locked run on a segment: the run's counts fold into
+// the segment's totals and the call's running total, and the lock is
+// released.
+func (sh *shard) settle(d, total *counters) {
+	sh.counts.add(d)
+	sh.mu.Unlock()
+	total.add(d)
+	*d = counters{}
+}
+
+// BagCounts is what one ProbeBag call did, for the caller's cost model.
+type BagCounts struct {
+	// Hits rows were served from the cache and Misses were not (a row
+	// occurring k times counts k); Admitted of the misses were filled
+	// and inserted.
+	Hits, Misses, Admitted int64
+}
+
+// ProbeBag is the serving hot path: it probes all of one sample's rows
+// for one table under a single hold of the segment lock (hashed-shard
+// caches re-lock only when consecutive rows route to different
+// segments). Rows are taken in order, exactly as a per-row loop would:
+// each is recorded in the frequency sketch; a resident row is added to
+// acc (len >= Dim) straight from the slab; a missing row is appended to
+// cold and offered for admission, fill being invoked — under the lock,
+// at most once per row — only when the cache admits it. fill writes the
+// row's vector into dst and returns its current version, which stamps
+// the entry for coherence. A row admitted early in the bag is resident
+// for its later occurrences. Returns the extended cold slice and the
+// bag's counts; a nil cache misses every row without recording
+// anything.
+func (c *Cache) ProbeBag(table int, rows []int32, acc []float32, cold []int32,
+	fill func(row int32, dst []float32) uint64) ([]int32, BagCounts) {
+	if c == nil {
+		return append(cold, rows...), BagCounts{}
+	}
+	var total, d counters
+	var sh *shard
+	for _, row := range rows {
+		k := key(table, row)
+		if next := c.shardFor(k); next != sh {
+			if sh != nil {
+				sh.settle(&d, &total)
+			}
+			sh = next
+			sh.mu.Lock()
+		}
+		if !c.probeLocked(sh, k, row, probeCount|probeSum|probeAdmit, acc, fill, &d) {
+			cold = append(cold, row)
+		}
+	}
+	if sh != nil {
+		sh.settle(&d, &total)
+	}
+	c.export(table, &total)
+	return cold, BagCounts{Hits: total.hits, Misses: total.misses, Admitted: total.admitted}
+}
+
+// probeRow is ProbeBag for a single row: one lock, one probeLocked.
+func (c *Cache) probeRow(table int, row int32, mode probeMode, dst []float32,
+	fill func(row int32, dst []float32) uint64) (resident, admitted bool) {
+	k := key(table, row)
+	sh := c.shardFor(k)
+	var d counters
+	sh.mu.Lock()
+	resident = c.probeLocked(sh, k, row, mode, dst, fill, &d)
+	sh.counts.add(&d)
+	sh.mu.Unlock()
+	c.export(table, &d)
+	return resident, d.admitted > 0
+}
+
 // Lookup probes the cache for (table, row), recording the access in the
 // frequency sketch either way. On a hit it copies the vector into dst
 // (len >= Dim) and refreshes the entry's recency; on a miss it returns
@@ -468,27 +617,8 @@ func (c *Cache) Lookup(table int, row int32, dst []float32) bool {
 	if c == nil {
 		return false
 	}
-	k := key(table, row)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	sh.sketch.Record(k)
-	e, ok := sh.entries[k]
-	if !ok {
-		sh.misses++
-		sh.mu.Unlock()
-		if tc := c.tc(k); tc != nil {
-			tc.misses.Inc()
-		}
-		return false
-	}
-	sh.moveToFront(e)
-	copy(dst[:c.dim], e.vec)
-	sh.hits++
-	sh.mu.Unlock()
-	if tc := c.tc(k); tc != nil {
-		tc.hits.Inc()
-	}
-	return true
+	hit, _ := c.probeRow(table, row, probeCount, dst, nil)
+	return hit
 }
 
 // Offer proposes (table, row) for admission after a miss. fill is
@@ -503,83 +633,9 @@ func (c *Cache) Offer(table int, row int32, fill func(dst []float32) uint64) boo
 	if c == nil {
 		return false
 	}
-	k := key(table, row)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return c.offerLocked(sh, k, fill)
-}
-
-// offerLocked runs the admission duel for key k. Caller holds sh.mu.
-func (c *Cache) offerLocked(sh *shard, k uint64, fill func(dst []float32) uint64) bool {
-	if e, ok := sh.entries[k]; ok {
-		// Raced with another shard worker's admission; refresh recency.
-		sh.moveToFront(e)
-		return false
-	}
-	if _, bad := sh.neg[k]; bad {
-		// Remembered bad row: skip the duel and the fill entirely.
-		sh.negHits++
-		if tc := c.tc(k); tc != nil {
-			tc.negHits.Inc()
-		}
-		return false
-	}
-	evict := len(sh.entries) >= sh.capacity
-	if evict {
-		victim := sh.tail
-		if sh.sketch.Estimate(k) <= sh.sketch.Estimate(victim.key) {
-			sh.rejected++
-			if tc := c.tc(k); tc != nil {
-				tc.rejected.Inc()
-			}
-			return false
-		}
-		sh.unlink(victim)
-		delete(sh.entries, victim.key)
-		sh.evicted++
-		if tc := c.tc(victim.key); tc != nil {
-			tc.evicted.Inc()
-		}
-	}
-	e := &entry{key: k, vec: make([]float32, c.dim)}
-	e.version = fill(e.vec)
-	if !validRow(e.vec) {
-		// Caching a corrupt vector would serve it forever; remember the
-		// row instead so repeated offers short-circuit until a delta
-		// (Invalidate) gives it a chance to heal.
-		sh.badFills++
-		if tc := c.tc(k); tc != nil {
-			tc.badFills.Inc()
-		}
-		if len(sh.neg) >= sh.negCap {
-			sh.neg = nil // epoch reset keeps the mark set bounded
-		}
-		if sh.neg == nil {
-			sh.neg = make(map[uint64]uint64)
-		}
-		sh.neg[k] = e.version
-		return false
-	}
-	sh.entries[k] = e
-	sh.pushFront(e)
-	sh.admitted++
-	if tc := c.tc(k); tc != nil {
-		tc.admitted.Inc()
-	}
-	return true
-}
-
-// validRow reports whether every element is finite (no NaN/Inf).
-func validRow(vec []float32) bool {
-	for _, v := range vec {
-		// x != x catches NaN; the subtraction check catches ±Inf
-		// without importing math for float32.
-		if v != v || v-v != 0 {
-			return false
-		}
-	}
-	return true
+	_, admitted := c.probeRow(table, row, probeAdmit, nil,
+		func(_ int32, dst []float32) uint64 { return fill(dst) })
+	return admitted
 }
 
 // Invalidate evicts the cached entry for (table, row) when its stamped
@@ -598,48 +654,17 @@ func (c *Cache) Invalidate(table int, row int32, minVersion uint64) bool {
 	if ver, bad := sh.neg[k]; bad && ver < minVersion {
 		delete(sh.neg, k)
 	}
-	e, ok := sh.entries[k]
-	if !ok || e.version >= minVersion {
+	s := sh.find(k)
+	if s == noSlot || sh.versions[s] >= minVersion {
 		return false
 	}
-	sh.unlink(e)
-	delete(sh.entries, k)
-	sh.invalidations++
+	sh.remove(s)
+	sh.release(s)
+	sh.counts.invalidations++
 	if tc := c.tc(k); tc != nil {
 		tc.invalidations.Inc()
 	}
 	return true
-}
-
-// LookupOrOffer is the serving hot path: one shard-lock acquisition
-// that probes for (table, row) and, on a miss, immediately runs the
-// admission duel — fill is called at most once, under the lock, only
-// when the row is admitted. On a hit the vector is copied into dst
-// (len >= Dim). Returns (hit, admitted); a nil cache misses without
-// admitting.
-func (c *Cache) LookupOrOffer(table int, row int32, dst []float32, fill func(dst []float32) uint64) (hit, admitted bool) {
-	if c == nil {
-		return false, false
-	}
-	k := key(table, row)
-	sh := c.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.sketch.Record(k)
-	if e, ok := sh.entries[k]; ok {
-		sh.moveToFront(e)
-		copy(dst[:c.dim], e.vec)
-		sh.hits++
-		if tc := c.tc(k); tc != nil {
-			tc.hits.Inc()
-		}
-		return true, false
-	}
-	sh.misses++
-	if tc := c.tc(k); tc != nil {
-		tc.misses.Inc()
-	}
-	return false, c.offerLocked(sh, k, fill)
 }
 
 // Stats aggregates counters across shards. Safe on a nil cache (all
@@ -651,56 +676,20 @@ func (c *Cache) Stats() Stats {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Admitted += sh.admitted
-		st.Rejected += sh.rejected
-		st.Evicted += sh.evicted
-		st.Entries += len(sh.entries)
-		st.CapacityEntries += sh.capacity
-		st.Invalidations += sh.invalidations
-		st.BadFills += sh.badFills
-		st.NegativeHits += sh.negHits
-		st.NegativeEntries += len(sh.neg)
+		s := sh.statsLocked()
 		sh.mu.Unlock()
+		st.Hits += s.Hits
+		st.Misses += s.Misses
+		st.Admitted += s.Admitted
+		st.Rejected += s.Rejected
+		st.Evicted += s.Evicted
+		st.Entries += s.Entries
+		st.CapacityEntries += s.CapacityEntries
+		st.Invalidations += s.Invalidations
+		st.BadFills += s.BadFills
+		st.NegativeHits += s.NegativeHits
+		st.NegativeEntries += s.NegativeEntries
 	}
 	st.BytesSaved = st.Hits * c.rowBytes
 	return st
-}
-
-// pushFront links e as the most-recently-used entry. Caller holds mu.
-func (sh *shard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-}
-
-// unlink removes e from the LRU list. Caller holds mu.
-func (sh *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// moveToFront refreshes e's recency. Caller holds mu.
-func (sh *shard) moveToFront(e *entry) {
-	if sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
 }

@@ -87,41 +87,6 @@ func TestTinyPositiveCapacityHoldsOneRow(t *testing.T) {
 	}
 }
 
-// TestLookupOrOffer covers the combined hot-path operation: a miss
-// runs the admission duel in the same lock acquisition, a hit copies
-// the vector, and the counters match the split-call semantics.
-func TestLookupOrOffer(t *testing.T) {
-	const dim = 4
-	c := newTestCache(t, 2*(dim*4+EntryOverheadBytes), 1, dim)
-	buf := make([]float32, dim)
-
-	hit, admitted := c.LookupOrOffer(0, 3, buf, fillConst(0, 3, dim))
-	if hit || !admitted {
-		t.Fatalf("first touch: hit=%v admitted=%v, want miss+admit into empty cache", hit, admitted)
-	}
-	hit, admitted = c.LookupOrOffer(0, 3, buf, func([]float32) uint64 { t.Fatal("fill on a hit"); return 0 })
-	if !hit || admitted {
-		t.Fatalf("second touch: hit=%v admitted=%v, want hit", hit, admitted)
-	}
-	want := make([]float32, dim)
-	fillConst(0, 3, dim)(want)
-	for i := range want {
-		if buf[i] != want[i] {
-			t.Fatalf("element %d = %v, want %v", i, buf[i], want[i])
-		}
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Admitted != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// Nil cache: miss, no admit, no fill.
-	var nilCache *Cache
-	hit, admitted = nilCache.LookupOrOffer(0, 3, buf, func([]float32) uint64 { t.Fatal("nil cache filled"); return 0 })
-	if hit || admitted {
-		t.Fatal("nil cache engaged")
-	}
-}
-
 func TestHitReturnsStoredVector(t *testing.T) {
 	const dim = 8
 	c := newTestCache(t, 64*(dim*4+EntryOverheadBytes), 1, dim)
@@ -360,7 +325,7 @@ func TestPerTablePartitionRouting(t *testing.T) {
 		if !c.Offer(table, 5, fillConst(table, 5, dim)) {
 			t.Fatalf("table %d row 5 not admitted into empty segment", table)
 		}
-		if len(c.shards[table].entries) != 1 {
+		if c.shards[table].n != 1 {
 			t.Fatalf("table %d row landed outside its segment", table)
 		}
 	}
@@ -405,7 +370,7 @@ func TestPerTablePartitionIsolation(t *testing.T) {
 	if !c.Lookup(1, 42, buf) {
 		t.Fatal("table 0's flood evicted table 1's hot row across the partition")
 	}
-	if got := len(c.shards[0].entries); got > c.shards[0].capacity {
+	if got := c.shards[0].n; got > c.shards[0].capacity {
 		t.Fatalf("table 0 segment holds %d entries, capacity %d", got, c.shards[0].capacity)
 	}
 	st := c.Stats()

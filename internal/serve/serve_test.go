@@ -124,6 +124,46 @@ func TestPredictCopiesBuffers(t *testing.T) {
 	}
 }
 
+// TestCopyRequestIsolation: the queued copy shares nothing with the
+// caller's slices, its per-table views of the one index backing cannot
+// grow into each other, and the copy costs three allocations whatever
+// the table count.
+func TestCopyRequestIsolation(t *testing.T) {
+	req := Request{
+		Dense:  []float32{1, 2, 3},
+		Sparse: [][]int32{{10, 11}, {}, {20}, {30, 31, 32}},
+		Class:  Critical,
+	}
+	cp := copyRequest(req)
+	req.Dense[0] = -1
+	for _, idx := range req.Sparse {
+		for j := range idx {
+			idx[j] = -1
+		}
+	}
+	want := [][]int32{{10, 11}, {}, {20}, {30, 31, 32}}
+	if cp.Dense[0] != 1 || cp.Class != Critical || len(cp.Sparse) != len(want) {
+		t.Fatalf("copy = %+v", cp)
+	}
+	for tb, idx := range cp.Sparse {
+		if cap(idx) != len(idx) {
+			t.Fatalf("table %d view has cap %d beyond len %d", tb, cap(idx), len(idx))
+		}
+		cp.Sparse[tb] = append(idx, 99) // must reallocate, not spill into table tb+1
+	}
+	for tb := range want {
+		got := cp.Sparse[tb][:len(want[tb])]
+		for j := range want[tb] {
+			if got[j] != want[tb][j] {
+				t.Fatalf("table %d = %v, want %v", tb, got, want[tb])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { copyRequest(req) }); allocs != 3 {
+		t.Fatalf("copyRequest made %v allocations, want 3", allocs)
+	}
+}
+
 // TestServerMatchesRunBatch drives every profile sample through the
 // server one at a time (MaxBatch 1, so each is its own batch) and checks
 // the CTRs are bitwise-identical to a direct single-engine RunBatch of

@@ -1,7 +1,8 @@
 #!/bin/sh
 # scripts/bench.sh — run the hot-path micro-benchmarks (RunBatch,
 # RunTracePipelined, ForwardBatch, ServeThroughput, ApplyDeltas,
-# ServeMixedRW) with -benchmem and record the results as
+# ServeMixedRW, and the hot-row cache's HotCacheBagHit / BagMissAdmit /
+# Invalidate / BagParallel) with -benchmem and record the results as
 # BENCH_hotpath.json at the repo root, so the perf trajectory of the
 # batch execution path is tracked in-tree.
 #
@@ -25,9 +26,9 @@ trap 'rm -f "$tmp"' EXIT
 for k in $kernels; do
 	echo "benchkernel: $k"
 	UPDLRM_BENCH_KERNEL="$k" go test -run '^$' \
-		-bench 'BenchmarkRunBatch$|BenchmarkRunTracePipelined$|BenchmarkForwardBatch$|BenchmarkServeThroughput$|BenchmarkApplyDeltas$|BenchmarkServeMixedRW$' \
+		-bench 'BenchmarkRunBatch$|BenchmarkRunTracePipelined$|BenchmarkForwardBatch$|BenchmarkServeThroughput$|BenchmarkApplyDeltas$|BenchmarkServeMixedRW$|BenchmarkHotCache' \
 		-benchmem -count "${COUNT:-1}" \
-		./internal/core ./internal/dlrm ./internal/serve
+		./internal/core ./internal/dlrm ./internal/serve ./internal/hotcache
 done >"$tmp"
 
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
