@@ -206,7 +206,7 @@ func TestArenaReuseWithHotCache(t *testing.T) {
 // TestArenaCapTrimsFootprint checks the governor's engine lever: after
 // a big batch grows the arena, setting a cap below the footprint makes
 // the next batch release and re-grow to its own (smaller) size — while
-// the big batch's Result, which aliases the released buffers, stays
+// the big batch's CTR slice, which aliases a released buffer, stays
 // intact. Uncapping stops the trimming.
 func TestArenaCapTrimsFootprint(t *testing.T) {
 	model, tr := smallWorld(t)
@@ -224,7 +224,7 @@ func TestArenaCapTrimsFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigCTR := append([]float32(nil), bigRes.CTR...)
+	held, bigCTR := bigRes.CTR, append([]float32(nil), bigRes.CTR...)
 	grown := eng.ArenaBytes()
 	if grown <= 0 {
 		t.Fatalf("ArenaBytes = %d after a batch", grown)
@@ -258,11 +258,12 @@ func TestArenaCapTrimsFootprint(t *testing.T) {
 	if len(smallRes.CTR) != small.Size {
 		t.Fatalf("post-trim batch returned %d CTRs", len(smallRes.CTR))
 	}
-	// The big Result captured before the cap still holds its values —
-	// trimming dropped the arena's references, not the caller's.
+	// The big CTR slice captured before the cap still holds its values —
+	// trimming dropped the arena's reference to the buffer, not the
+	// caller's. (The Result struct itself is recycled by every batch.)
 	for s := range bigCTR {
-		if bigRes.CTR[s] != bigCTR[s] {
-			t.Fatalf("held Result mutated by trim at CTR[%d]", s)
+		if held[s] != bigCTR[s] {
+			t.Fatalf("held CTR buffer mutated by trim at [%d]", s)
 		}
 	}
 	// Trimmed engines still compute correctly.

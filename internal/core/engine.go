@@ -137,10 +137,11 @@ type Engine struct {
 	assign []*grace.Assignment // nil entries for non-CA plans
 	// baseDPU[t] is the first global DPU index of table t's group.
 	baseDPU []int
-	// fetchers[t][local] materializes MRAM content for table t's DPU at
-	// local index Shape.DPUAt(part, slice). One closure per DPU: each
-	// owns a private staging buffer (a kernel's reads run serially, and
-	// no two DPUs share a closure), so fetching never allocates.
+	// fetchers[t][part] materializes MRAM content for table t's row
+	// partition part, all column slices at once. One closure per
+	// partition: each owns a private staging buffer (a kernel's reads run
+	// serially, and no two kernels share a closure), so fetching never
+	// allocates.
 	fetchers [][]func(rows []int32, dst []float32)
 	// tables are the MRAM-resident views (quantized when configured).
 	tables []emt.Table
@@ -187,22 +188,26 @@ type Engine struct {
 
 // scratch is the engine's reusable batch arena. Everything here is
 // sized on first use and recycled: a steady-state RunBatch performs no
-// per-sample or per-DPU heap allocation.
+// heap allocation.
 type scratch struct {
+	// res is the Result every batch hands out.
+	res Result
 	// embs is the flat (batch x tables x dim) embedding buffer Results
 	// expose.
 	embs tensor.EmbBuf
 	// ctr is the CTR output buffer.
 	ctr []float32
-	// jobs[d] points into jobStore for DPUs active this wave, nil
-	// otherwise; jobStore keeps each job's Reads/Rows capacity across
-	// batches.
+	// jobs[d] points into jobStore when d is the first slice DPU of a row
+	// partition with reads this wave, nil otherwise: a partition's slice
+	// DPUs all receive the same reads, so the partition has one job
+	// (upmem.KernelJob.Slices). jobStore keeps each job's Reads/Rows
+	// capacity across batches.
 	jobs     []*upmem.KernelJob
 	jobStore []upmem.KernelJob
 	// pushSizes and pullSizes are the per-DPU stage-1/stage-3 payloads.
 	pushSizes, pullSizes []int64
-	// step holds kernel outputs; its per-DPU partial-sum storage is
-	// recycled by upmem.RunStepInto.
+	// step holds kernel outputs; its partial-sum storage is recycled by
+	// upmem.RunStepInto.
 	step upmem.StepResult
 	// cover plans cache-aware group reads without per-sample maps.
 	cover grace.CoverPlanner
@@ -212,10 +217,12 @@ type scratch struct {
 
 // Result is one batch's outcome.
 //
-// CTR and Embeddings alias the engine's scratch arena: they are valid
-// until the next RunBatch on the same engine, which recycles the
-// buffers in place. Copy them (append, Clone) to retain across batches
-// — RunTrace and the serving runtime already do.
+// A Result lives in the engine's scratch arena, and so do the buffers
+// its CTR and Embeddings point at: all of it is valid until the next
+// RunBatch, RunEmbeddings or EstimateBreakdown on the same engine, which
+// overwrites the struct and recycles the buffers in place. Copy what
+// must outlive that (the struct by value, CTR with append, Embeddings
+// with Clone) — RunTrace and the serving runtime already do.
 type Result struct {
 	// CTR holds per-sample predictions.
 	CTR []float32
@@ -373,34 +380,28 @@ func New(model *dlrm.Model, profile *trace.Trace, cfg Config) (*Engine, error) {
 		}
 		e.baseDPU = append(e.baseDPU, t*dpusPerTable)
 
-		// One fetcher per (table, DPU): sums the DPU's slice columns of
-		// the requested rows — a single row for EMT reads, several rows
-		// for a cached partial-sum read. emt.Table backends must be safe
-		// for concurrent reads (all provided ones are); the staging
-		// buffer is private to the DPU, whose kernel issues reads
-		// serially, so concurrent DPUs never share it. The table is
-		// re-read from e.tables per call (not captured) so the
-		// copy-on-write overlay ApplyDeltas swaps in becomes visible to
-		// subsequent batches.
-		nc := shape.Nc
-		dpuFetchers := make([]func(rows []int32, dst []float32), dpusPerTable)
-		for part := 0; part < shape.Parts; part++ {
-			for sl := 0; sl < shape.Slices; sl++ {
-				col0 := sl * nc
-				tmp := make([]float32, nc)
-				dpuFetchers[shape.DPUAt(part, sl)] = func(rows []int32, dst []float32) {
-					table := e.tables[t]
-					for k := range dst {
-						dst[k] = 0
-					}
-					for _, r := range rows {
-						table.ReadCols(int(r), col0, nc, tmp)
-						tensor.Add(tmp, dst)
-					}
+		// One fetcher per (table, partition): sums the requested rows at
+		// full width — a single row for EMT reads, several rows for a
+		// cached partial-sum read — which is every slice DPU's columns in
+		// slice order. emt.Table backends must be safe for concurrent
+		// reads (all provided ones are); the staging buffer is private to
+		// the partition, whose kernel issues reads serially, so concurrent
+		// kernels never share it. The table is re-read from e.tables per
+		// call (not captured) so the copy-on-write overlay ApplyDeltas
+		// swaps in becomes visible to subsequent batches.
+		partFetchers := make([]func(rows []int32, dst []float32), shape.Parts)
+		for part := range partFetchers {
+			tmp := make([]float32, cols)
+			partFetchers[part] = func(rows []int32, dst []float32) {
+				table := e.tables[t]
+				table.ReadCols(int(rows[0]), 0, cols, dst)
+				for _, r := range rows[1:] {
+					table.ReadCols(int(r), 0, cols, tmp)
+					tensor.Add(tmp, dst)
 				}
 			}
 		}
-		e.fetchers = append(e.fetchers, dpuFetchers)
+		e.fetchers = append(e.fetchers, partFetchers)
 	}
 
 	// Per-table admission fills for the hot-row cache. The table is
@@ -459,9 +460,9 @@ func (e *Engine) maxKernelSamples() int {
 }
 
 // RunBatch executes one batch end to end. Batches whose accumulators
-// exceed WRAM run as several kernel waves. The returned Result's CTR
-// and Embeddings alias the engine's recycled scratch arena (see
-// Result); the steady-state hot path allocates nothing per sample.
+// exceed WRAM run as several kernel waves. The returned Result and its
+// CTR and Embeddings live in the engine's recycled scratch arena (see
+// Result); the steady-state hot path allocates nothing.
 func (e *Engine) RunBatch(b *trace.Batch) (*Result, error) {
 	res, err := e.runEmbStages(b)
 	if err != nil {
@@ -578,7 +579,8 @@ func (e *Engine) runEmbStages(b *trace.Batch) (*Result, error) {
 	}
 	sc := &e.sc
 	sc.embs.Reset(b.Size, len(e.plans), e.model.Cfg.EmbDim)
-	res := &Result{}
+	res := &sc.res
+	*res = Result{}
 	wave := e.maxKernelSamples()
 	for lo := 0; lo < b.Size; lo += wave {
 		hi := lo + wave
@@ -593,32 +595,25 @@ func (e *Engine) runEmbStages(b *trace.Batch) (*Result, error) {
 	return res, nil
 }
 
-// waveJob returns (creating on first touch) the kernel job of the DPU
-// serving (table, part, slice) this wave, recycling the job's Reads and
-// Rows storage from previous batches.
-func (e *Engine) waveJob(t, part, slice, waveSize int) *upmem.KernelJob {
+// addRead appends one MRAM read of rows for wave-local sample ws to the
+// kernel job of table t's partition part (created on first touch,
+// recycling its Reads and Rows storage from previous batches). Every
+// column slice of the partition executes it.
+func (e *Engine) addRead(t, ws, part, waveSize int, rows ...int32) {
 	shape := e.plans[t].Shape
-	d := e.baseDPU[t] + shape.DPUAt(part, slice)
+	d := e.baseDPU[t] + shape.DPUAt(part, 0)
 	j := e.sc.jobs[d]
 	if j == nil {
 		j = &e.sc.jobStore[d]
 		j.Reset()
 		j.NumSamples = waveSize
 		j.Width = shape.Nc
+		j.Slices = shape.Slices
 		j.BytesPerElem = e.bytesPerElem
-		j.Fetch = e.fetchers[t][shape.DPUAt(part, slice)]
+		j.Fetch = e.fetchers[t][part]
 		e.sc.jobs[d] = j
 	}
-	return j
-}
-
-// addRead appends one MRAM read of rows for wave-local sample ws to
-// every column slice of table t's partition part.
-func (e *Engine) addRead(t, ws, part, waveSize int, rows ...int32) {
-	shape := e.plans[t].Shape
-	for sl := 0; sl < shape.Slices; sl++ {
-		e.waveJob(t, part, sl, waveSize).AddRead(ws, shape.Nc, rows...)
-	}
+	j.AddRead(ws, shape.Nc, rows...)
 }
 
 // runWave executes the three DPU stages of Figure 4 for samples
@@ -692,12 +687,12 @@ func (e *Engine) runWave(b *trace.Batch, lo, hi int, res *Result) error {
 			sizeSamples = activeSamples
 		}
 		for part := 0; part < shape.Parts; part++ {
+			var reads int
+			if j := sc.jobs[base+shape.DPUAt(part, 0)]; j != nil {
+				reads = len(j.Reads)
+			}
 			for sl := 0; sl < shape.Slices; sl++ {
 				d := base + shape.DPUAt(part, sl)
-				var reads int
-				if sc.jobs[d] != nil {
-					reads = len(sc.jobs[d].Reads)
-				}
 				sc.pushSizes[d] = int64(reads)*4 + int64(sizeSamples+1)*4
 				sc.pullSizes[d] = int64(sizeSamples) * int64(shape.Nc) * 4
 			}

@@ -27,6 +27,7 @@ func TestHeteroFunctionalMatchesBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rb = snapshotResult(rb) // hetero runs on base's arena
 	rh, err := hetero.RunBatch(b)
 	if err != nil {
 		t.Fatal(err)

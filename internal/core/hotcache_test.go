@@ -7,6 +7,7 @@ import (
 	"updlrm/internal/hotcache"
 	"updlrm/internal/partition"
 	"updlrm/internal/tensor"
+	"updlrm/internal/testkit"
 	"updlrm/internal/trace"
 )
 
@@ -231,10 +232,10 @@ func TestHotCacheCountsDuplicateRows(t *testing.T) {
 	}
 }
 
-// TestWarmCacheWaveAllocatesNothing: with the cache warm, the cache
-// split of a kernel wave — bag probes and the admissions and evictions
-// they trigger — performs no heap allocation: the wave allocates exactly
-// what a cache-less wave does (upmem.RunStepInto's one dispatch closure).
+// TestWarmCacheWaveAllocatesNothing: with the cache warm, a kernel wave
+// with its cache split — bag probes and the admissions and evictions
+// they trigger — performs no heap allocation, and neither does a
+// cache-less one.
 func TestWarmCacheWaveAllocatesNothing(t *testing.T) {
 	model, tr := smallWorld(t)
 	// Alternate two batches so the cache keeps admitting and evicting.
@@ -259,12 +260,12 @@ func TestWarmCacheWaveAllocatesNothing(t *testing.T) {
 		for j := 0; j < 40; j++ {
 			wave() // size the arena
 		}
-		return testing.AllocsPerRun(20, wave)
+		return testkit.AllocsPerRun(20, wave)
 	}
 	cache := warmCache(t, model, tr, smallConfig(partition.MethodCacheAware), 0.02)
 	before := cache.Stats()
-	if with, without := waveAllocs(cache), waveAllocs(nil); with != without {
-		t.Fatalf("%v allocations per warm cached wave, %v per cache-less wave", with, without)
+	if with, without := waveAllocs(cache), waveAllocs(nil); with != 0 || without != 0 {
+		t.Fatalf("%v allocations per warm cached wave, %v per cache-less wave, want 0 and 0", with, without)
 	}
 	after := cache.Stats()
 	if after.Hits == before.Hits || after.Admitted == before.Admitted || after.Evicted == before.Evicted {

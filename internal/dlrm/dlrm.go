@@ -10,13 +10,13 @@ package dlrm
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"updlrm/internal/emt"
 	"updlrm/internal/mlp"
 	"updlrm/internal/tensor"
 	"updlrm/internal/trace"
+	"updlrm/internal/workpool"
 )
 
 // Backing selects the embedding-table storage backend.
@@ -413,18 +413,17 @@ const minRowsPerWorker = 8
 // rows, rows are independent, so any split is bit-identical to the
 // serial path.
 //
-// Workers are persistent goroutines (started at construction, stopped
-// by a GC cleanup when the pool becomes unreachable), so a steady-
-// state Forward allocates nothing — row-block jobs travel by value
-// over per-worker channels. A pool serves one Forward at a time; run
-// one pool per engine.
+// Workers are persistent goroutines (a workpool.Pool: started at
+// construction, released when the pool becomes unreachable), so a
+// steady-state Forward allocates nothing — row-block jobs travel by
+// value over per-worker channels. A pool serves one Forward at a time;
+// run one pool per engine.
 type HostPool struct {
 	model *Model
 	ws    []*BatchWorkspace
-	// jobs[i] feeds persistent worker i+1 (the caller's goroutine is
-	// worker 0); done collects their block completions.
-	jobs []chan hostJob
-	done chan struct{}
+	// pool runs blocks 1..n-1 on ws[1..n-1]; the caller's goroutine is
+	// worker 0.
+	pool *workpool.Pool[hostJob]
 	// last is the worker count of the most recent Forward, stored
 	// atomically so tests can assert the parallel path really fans out.
 	last atomic.Int32
@@ -446,34 +445,17 @@ func NewHostPool(m *Model, workers int, k tensor.Kernel) *HostPool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &HostPool{model: m, done: make(chan struct{}, workers)}
-	for i := 0; i < workers; i++ {
-		p.ws = append(p.ws, &BatchWorkspace{Kernel: k})
+	ws := make([]*BatchWorkspace, workers)
+	for i := range ws {
+		ws[i] = &BatchWorkspace{Kernel: k}
 	}
-	for i := 1; i < workers; i++ {
-		ch := make(chan hostJob)
-		p.jobs = append(p.jobs, ch)
-		go hostWorker(m, p.ws[i], ch, p.done)
-	}
-	if len(p.jobs) > 0 {
-		// The workers capture the model and their workspace, never the
-		// pool itself, so the pool stays collectable; the cleanup then
-		// releases the goroutines (and, through them, the model).
-		runtime.AddCleanup(p, func(chans []chan hostJob) {
-			for _, ch := range chans {
-				close(ch)
-			}
-		}, p.jobs)
-	}
-	return p
-}
-
-// hostWorker serves row-block jobs until its channel closes.
-func hostWorker(m *Model, ws *BatchWorkspace, jobs <-chan hostJob, done chan<- struct{}) {
-	for j := range jobs {
-		m.forwardGemm(j.b, j.embs, j.ctr, ws, j.lo, j.hi)
-		done <- struct{}{}
-	}
+	// The workers capture the model and the workspaces, never the
+	// HostPool itself, so it stays collectable and takes the goroutines
+	// (and, through them, the model) with it.
+	pool := workpool.New(workers, func(w int, j hostJob) {
+		m.forwardGemm(j.b, j.embs, j.ctr, ws[w], j.lo, j.hi)
+	})
+	return &HostPool{model: m, ws: ws, pool: pool}
 }
 
 // Workers returns the pool width.
@@ -510,12 +492,10 @@ func (p *HostPool) Forward(b *trace.Batch, embs *tensor.EmbBuf, ctr []float32) {
 		if hi > b.Size {
 			hi = b.Size
 		}
-		p.jobs[w-1] <- hostJob{b: b, embs: embs, ctr: ctr, lo: lo, hi: hi}
+		p.pool.Send(w, hostJob{b: b, embs: embs, ctr: ctr, lo: lo, hi: hi})
 	}
 	p.model.forwardGemm(b, embs, ctr, p.ws[0], 0, chunk)
-	for w := 1; w < blocks; w++ {
-		<-p.done
-	}
+	p.pool.Wait(blocks - 1)
 }
 
 // EmbedLookups returns the total lookups a batch performs across tables —

@@ -132,11 +132,30 @@ func (t *ProceduralTable) valueAt(row, col int) float32 {
 	return float32((u - 0.5) * 0.1)
 }
 
-// ReadCols implements Table.
+// ReadCols implements Table. It is valueAt over the window with the
+// range checked once, the row's term computed once and both mix rounds
+// inlined — the generator is what every simulated MRAM read, hot-cache
+// fill and CPU-reference bag pays per element.
 func (t *ProceduralTable) ReadCols(row, col0, cols int, dst []float32) {
 	checkRange(t.rows, t.dim, row, col0, cols, dst)
-	for c := 0; c < cols; c++ {
-		dst[c] = t.valueAt(row, col0+c)
+	rowTerm := uint64(row) * 0x9e3779b97f4a7c15
+	seed := t.seed
+	dst = dst[:cols]
+	for c := range dst {
+		x := rowTerm ^ uint64(col0+c) + 0x632be59bd9b4e019
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		x ^= seed
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		u := float64(x>>40) / (1 << 24)
+		dst[c] = float32((u - 0.5) * 0.1)
 	}
 }
 

@@ -120,6 +120,58 @@ func TestProceduralColumnSlicesConsistent(t *testing.T) {
 	}
 }
 
+// TestProceduralReadColsMatchesValueAt: the bulk path is valueAt, bit
+// for bit, over every (row, col0, cols) window of a small table — and
+// writes nothing past the window.
+func TestProceduralReadColsMatchesValueAt(t *testing.T) {
+	const rows, dim = 37, 11
+	for _, seed := range []uint64{0, 1, 0xdeadbeefcafef00d} {
+		tb := NewProcedural(rows, dim, seed)
+		dst := make([]float32, dim+1)
+		for row := 0; row < rows; row++ {
+			for col0 := 0; col0 <= dim; col0++ {
+				for cols := 0; col0+cols <= dim; cols++ {
+					sentinel := float32(math.Inf(1))
+					for i := range dst {
+						dst[i] = sentinel
+					}
+					tb.ReadCols(row, col0, cols, dst)
+					for c := 0; c < cols; c++ {
+						if want := tb.valueAt(row, col0+c); math.Float32bits(dst[c]) != math.Float32bits(want) {
+							t.Fatalf("seed %x ReadCols(%d,%d,%d)[%d] = %v, valueAt = %v", seed, row, col0, cols, c, dst[c], want)
+						}
+					}
+					for i := cols; i < len(dst); i++ {
+						if dst[i] != sentinel {
+							t.Fatalf("seed %x ReadCols(%d,%d,%d) wrote dst[%d]", seed, row, col0, cols, i)
+						}
+					}
+				}
+			}
+		}
+	}
+	// Out-of-range windows still panic.
+	tb := NewProcedural(rows, dim, 1)
+	for _, bad := range [][3]int{{-1, 0, 1}, {rows, 0, 1}, {0, -1, 1}, {0, 0, dim + 1}, {0, dim, 1}, {0, 0, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ReadCols(%d,%d,%d) did not panic", bad[0], bad[1], bad[2])
+				}
+			}()
+			tb.ReadCols(bad[0], bad[1], bad[2], make([]float32, dim+1))
+		}()
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("ReadCols into a short dst did not panic")
+			}
+		}()
+		tb.ReadCols(0, 0, 4, make([]float32, 3))
+	}()
+}
+
 func TestBagMatchesManualSum(t *testing.T) {
 	tb := NewDense(5, 3)
 	for r := 0; r < 5; r++ {

@@ -8,7 +8,7 @@ import "fmt"
 // multi-row span models a cached partial-sum read (one MRAM access that
 // returns the precomputed sum of those rows, per §3.3).
 //
-// Reads are flat structs referencing the job's shared Rows pool so that
+// Reads are flat structs referencing the job's own Rows pool so that
 // paper-scale batches (hundreds of thousands of reads) do not allocate
 // per-read closures.
 type Read struct {
@@ -22,8 +22,9 @@ type Read struct {
 	RowsOff, RowsLen int32
 }
 
-// KernelJob describes one lookup kernel launched on one DPU for one
-// batch.
+// KernelJob describes one lookup kernel for one batch: the read list of
+// one row partition, executed by every DPU that holds a column slice of
+// that partition's tile. The common case is one DPU (Slices 0 or 1).
 type KernelJob struct {
 	// NumSamples is the batch size; the kernel maintains one partial-sum
 	// accumulator of width Width per sample in WRAM.
@@ -32,28 +33,62 @@ type KernelJob struct {
 	Width int
 	// Reads is the access list, in issue order.
 	Reads []Read
-	// Rows is the shared row-id pool the reads reference.
+	// Rows is the job's row-id pool: each read references a span of it.
 	Rows []int32
+	// Slices is the number of column-slice DPUs that execute this read
+	// list, each on its own Width columns (§3.1: a lookup fans out to
+	// every slice of the row's partition). Hardware runs them side by
+	// side on identical access lists, so their timings are identical and
+	// the simulator runs the list once for all of them: Fetch then
+	// delivers Slices*Elems values per read and the result carries one
+	// block of partial sums per slice (KernelResult.SlicePartial).
+	// NumSamples, Width, Elems and every timing term stay per DPU. Zero
+	// means 1.
+	Slices int
 	// BytesPerElem is the MRAM storage per element: 4 for fp32 EMTs
 	// (the paper's configuration), 1 for int8-quantized tables (the
 	// EVStore-style mixed-precision extension). Zero means 4.
 	BytesPerElem int
 	// Fetch materializes the values of one read: it must write the
-	// (sum of the) given rows' values into dst (len Elems). It stands in
-	// for the DPU's MRAM content — dense storage, procedural generator,
-	// or a cache region. Must be safe for concurrent calls.
+	// (sum of the) given rows' values into dst — len Elems, or with
+	// Slices > 1 slice sl's Elems values at dst[sl*Elems:], which for a
+	// full-width read (Elems == Width) is simply the partition's row in
+	// column order. It stands in for the DPUs' MRAM content — dense
+	// storage, procedural generator, or a cache region. Distinct jobs'
+	// Fetch functions run concurrently.
 	Fetch func(rows []int32, dst []float32)
 }
 
 // Validate checks the job against the hardware limits of cfg, in
 // particular that per-sample accumulators fit WRAM and that every read is
-// a legal MRAM transfer.
+// a legal MRAM transfer. Running a job validates it as it goes; Validate
+// is for callers that want the verdict without the run.
 func (j *KernelJob) Validate(cfg HWConfig) error {
+	if err := j.validateShape(cfg); err != nil {
+		return err
+	}
+	for i := range j.Reads {
+		r := &j.Reads[i]
+		if err := j.checkRead(i, r); err != nil {
+			return err
+		}
+		if _, err := cfg.MRAMReadLatency(AlignMRAM(int(r.Elems) * j.bytesPerElem())); err != nil {
+			return fmt.Errorf("upmem: read %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// validateShape checks everything about the job but its reads.
+func (j *KernelJob) validateShape(cfg HWConfig) error {
 	if j.NumSamples < 0 {
 		return fmt.Errorf("upmem: NumSamples = %d", j.NumSamples)
 	}
 	if j.Width <= 0 {
 		return fmt.Errorf("upmem: kernel width = %d", j.Width)
+	}
+	if j.Slices < 0 {
+		return fmt.Errorf("upmem: Slices = %d", j.Slices)
 	}
 	if len(j.Reads) > 0 && j.Fetch == nil {
 		return fmt.Errorf("upmem: job with %d reads has no Fetch", len(j.Reads))
@@ -68,21 +103,22 @@ func (j *KernelJob) Validate(cfg HWConfig) error {
 		return fmt.Errorf("upmem: WRAM overflow: %d B accumulators + %d B staging > %d B",
 			accBytes, stageBytes, cfg.WRAMBytes)
 	}
-	for i := range j.Reads {
-		r := &j.Reads[i]
-		if r.Sample < 0 || int(r.Sample) >= j.NumSamples {
-			return fmt.Errorf("upmem: read %d sample %d out of [0,%d)", i, r.Sample, j.NumSamples)
-		}
-		if r.Elems <= 0 || int(r.Elems) > j.Width {
-			return fmt.Errorf("upmem: read %d elems %d out of (0,%d]", i, r.Elems, j.Width)
-		}
-		if r.RowsOff < 0 || r.RowsLen <= 0 || int(r.RowsOff)+int(r.RowsLen) > len(j.Rows) {
-			return fmt.Errorf("upmem: read %d row span [%d,%d) out of pool %d",
-				i, r.RowsOff, r.RowsOff+r.RowsLen, len(j.Rows))
-		}
-		if _, err := cfg.MRAMReadLatency(AlignMRAM(int(r.Elems) * j.bytesPerElem())); err != nil {
-			return fmt.Errorf("upmem: read %d: %w", i, err)
-		}
+	return nil
+}
+
+// checkRead bounds read i's sample, element count and row span — what
+// must hold before the read is executed. The legality of its transfer
+// size is the caller's to check (once per distinct size).
+func (j *KernelJob) checkRead(i int, r *Read) error {
+	if r.Sample < 0 || int(r.Sample) >= j.NumSamples {
+		return fmt.Errorf("upmem: read %d sample %d out of [0,%d)", i, r.Sample, j.NumSamples)
+	}
+	if r.Elems <= 0 || int(r.Elems) > j.Width {
+		return fmt.Errorf("upmem: read %d elems %d out of (0,%d]", i, r.Elems, j.Width)
+	}
+	if r.RowsOff < 0 || r.RowsLen <= 0 || int(r.RowsOff)+int(r.RowsLen) > len(j.Rows) {
+		return fmt.Errorf("upmem: read %d row span [%d,%d) out of pool %d",
+			i, r.RowsOff, r.RowsOff+r.RowsLen, len(j.Rows))
 	}
 	return nil
 }
@@ -93,6 +129,14 @@ func (j *KernelJob) bytesPerElem() int {
 		return 4
 	}
 	return j.BytesPerElem
+}
+
+// slices returns the effective slice count.
+func (j *KernelJob) slices() int {
+	if j.Slices <= 0 {
+		return 1
+	}
+	return j.Slices
 }
 
 // Reset clears the job's access list for a new batch, keeping the Reads
@@ -115,40 +159,57 @@ func (j *KernelJob) AddRead(sample int, elems int, rows ...int32) {
 }
 
 // KernelResult holds the functional output of a kernel: per-sample
-// partial sums of width Width. A KernelResult is reusable: RunKernelInto
-// reshapes it in place, recycling the backing array and fetch scratch,
-// so steady-state kernel execution allocates nothing.
+// partial sums of width Width for each column-slice DPU of the job. A
+// KernelResult is reusable: RunKernelInto reshapes it in place,
+// recycling the backing array and fetch scratch, so steady-state kernel
+// execution allocates nothing.
 type KernelResult struct {
 	// Partial[s] is sample s's partial sum (len Width), a view into one
-	// shared backing array.
+	// shared backing array. A job with Slices > 1 yields one such block
+	// of NumSamples views per slice, back to back; use SlicePartial.
 	Partial [][]float32
 
-	// backing is the contiguous NumSamples*Width accumulator storage the
-	// Partial views alias; buf is the per-read fetch scratch.
+	// backing is the contiguous accumulator storage the Partial views
+	// alias, NumSamples rows of Slices*Width (a sample's slices side by
+	// side, in column order); buf is the per-read fetch scratch; slices
+	// is the slice count of the job last run.
 	backing []float32
 	buf     []float32
+	slices  int
 }
 
-// reset shapes the result for samples x width, zeroing the accumulators
-// and reusing storage whenever capacity allows.
-func (r *KernelResult) reset(samples, width int) {
-	n := samples * width
+// SlicePartial returns the partial sums of column slice sl of the job
+// last run: one len-Width view per sample.
+func (r *KernelResult) SlicePartial(sl int) [][]float32 {
+	n := len(r.Partial) / r.slices
+	return r.Partial[sl*n : (sl+1)*n : (sl+1)*n]
+}
+
+// reset shapes the result for samples x width accumulators per slice,
+// zeroing them and reusing storage whenever capacity allows.
+func (r *KernelResult) reset(samples, width, slices int) {
+	r.slices = slices
+	row := width * slices
+	n := samples * row
 	if cap(r.backing) < n {
 		r.backing = make([]float32, n)
 	} else {
 		r.backing = r.backing[:n]
 		clear(r.backing)
 	}
-	if cap(r.Partial) < samples {
-		r.Partial = make([][]float32, samples)
+	if views := samples * slices; cap(r.Partial) < views {
+		r.Partial = make([][]float32, views)
 	} else {
-		r.Partial = r.Partial[:samples]
+		r.Partial = r.Partial[:views]
 	}
-	for s := 0; s < samples; s++ {
-		r.Partial[s] = r.backing[s*width : (s+1)*width : (s+1)*width]
+	for sl := 0; sl < slices; sl++ {
+		for s := 0; s < samples; s++ {
+			lo := s*row + sl*width
+			r.Partial[sl*samples+s] = r.backing[lo : lo+width : lo+width]
+		}
 	}
-	if cap(r.buf) < width {
-		r.buf = make([]float32, width)
+	if cap(r.buf) < row {
+		r.buf = make([]float32, row)
 	}
 }
 
@@ -174,7 +235,9 @@ type TimingEngine int
 const (
 	// ClosedForm computes kernel time as the max of the three resource
 	// bounds (pipeline issue, DMA engine occupancy, per-tasklet serial
-	// latency). Fast: O(#reads) arithmetic.
+	// latency). Fast: three additions per read, folded into the pass
+	// that executes the reads; the per-size terms are derived once per
+	// run of equal-sized reads.
 	ClosedForm TimingEngine = iota
 	// EventDriven simulates tasklets contending for the issue pipeline
 	// and the DMA engine read by read. Slower, more faithful to
@@ -209,34 +272,13 @@ func RunKernel(cfg HWConfig, job *KernelJob, engine TimingEngine) (*KernelResult
 
 // RunKernelInto executes the job into a reusable result: res is reshaped
 // in place (its backing array and scratch recycled), so repeated calls
-// with a stable job shape allocate nothing.
-func RunKernelInto(cfg HWConfig, job *KernelJob, engine TimingEngine, res *KernelResult) (KernelTiming, error) {
-	if err := job.Validate(cfg); err != nil {
-		return KernelTiming{}, err
-	}
-	res.reset(job.NumSamples, job.Width)
-	for i := range job.Reads {
-		r := &job.Reads[i]
-		dst := res.buf[:r.Elems]
-		job.Fetch(job.Rows[r.RowsOff:r.RowsOff+r.RowsLen], dst)
-		acc := res.Partial[r.Sample]
-		for k, v := range dst {
-			acc[k] += v
-		}
-	}
-
-	switch engine {
-	case ClosedForm:
-		return closedFormTiming(cfg, job), nil
-	case EventDriven:
-		return eventTiming(cfg, job), nil
-	default:
-		return KernelTiming{}, fmt.Errorf("upmem: unknown timing engine %d", engine)
-	}
-}
-
-// closedFormTiming computes the analytic kernel time: the kernel is bound
-// by whichever of three resources saturates first —
+// with a stable job shape allocate nothing under ClosedForm. On error
+// res holds a partial run and must not be read.
+//
+// One pass over Reads validates each read, executes it (fetch, then
+// accumulate into the sample's partial sum) and adds its terms to the
+// closed-form bounds. The kernel is bound by whichever of three
+// resources saturates first —
 //
 //   - the single-issue pipeline: all tasklets together retire at most one
 //     instruction per cycle;
@@ -245,9 +287,21 @@ func RunKernelInto(cfg HWConfig, job *KernelJob, engine TimingEngine, res *Kerne
 //     latency and compute, so with T tasklets a read's full latency is
 //     amortized T-fold (the pipelining effect that flattens Figure 11 at
 //     high reduction degrees).
-func closedFormTiming(cfg HWConfig, job *KernelJob) KernelTiming {
-	var pipeline, dma, perTasklet float64
-	var bytes int64
+//
+// The bounds are float64 running sums in read order, one addition of
+// the read's term each, so the result does not depend on how reads of
+// equal size are grouped.
+func RunKernelInto(cfg HWConfig, job *KernelJob, engine TimingEngine, res *KernelResult) (KernelTiming, error) {
+	if engine != ClosedForm && engine != EventDriven {
+		return KernelTiming{}, fmt.Errorf("upmem: unknown timing engine %d", engine)
+	}
+	if err := job.validateShape(cfg); err != nil {
+		return KernelTiming{}, err
+	}
+	width, slices, bpe := job.Width, job.slices(), job.bytesPerElem()
+	row := width * slices
+	res.reset(job.NumSamples, width, slices)
+
 	// Aggregate issue rate: each tasklet issues at most once per
 	// pipeline revolution, so fewer than PipelineDepthCycles tasklets
 	// cannot reach 1 IPC.
@@ -255,17 +309,53 @@ func closedFormTiming(cfg HWConfig, job *KernelJob) KernelTiming {
 	if issueSlowdown < 1 {
 		issueSlowdown = 1
 	}
-	bpe := job.bytesPerElem()
+	depth := float64(cfg.PipelineDepthCycles)
+	var pipeline, dma, perTasklet float64
+	var bytes int64
+	// The terms of a read depend only on its size; engine-built jobs have
+	// one size throughout. The explicit conversions round each term before
+	// it is added, on every architecture (no fused multiply-add).
+	var elems int32
+	var sz int64
+	var pipeTerm, dmaTerm, taskletTerm float64
 	for i := range job.Reads {
-		elems := int(job.Reads[i].Elems)
-		sz := AlignMRAM(elems * bpe)
-		bytes += int64(sz)
-		instr := cfg.lookupInstr(elems)
-		pipeline += instr * issueSlowdown
-		dma += cfg.dmaEngineOccupancy(sz)
-		lat, _ := cfg.MRAMReadLatency(sz) // validated already
-		perTasklet += lat + instr*float64(cfg.PipelineDepthCycles)
+		r := &job.Reads[i]
+		if err := job.checkRead(i, r); err != nil {
+			return KernelTiming{}, err
+		}
+		if r.Elems != elems {
+			aligned := AlignMRAM(int(r.Elems) * bpe)
+			lat, err := cfg.MRAMReadLatency(aligned)
+			if err != nil {
+				return KernelTiming{}, fmt.Errorf("upmem: read %d: %w", i, err)
+			}
+			instr := cfg.lookupInstr(int(r.Elems))
+			elems, sz = r.Elems, int64(aligned)
+			pipeTerm = float64(instr * issueSlowdown)
+			dmaTerm = cfg.dmaEngineOccupancy(aligned)
+			taskletTerm = lat + float64(instr*depth)
+		}
+		bytes += sz
+		pipeline += pipeTerm
+		dma += dmaTerm
+		perTasklet += taskletTerm
+
+		n := int(elems)
+		vals := res.buf[:n*slices]
+		job.Fetch(job.Rows[r.RowsOff:r.RowsOff+r.RowsLen], vals)
+		acc := res.backing[int(r.Sample)*row : (int(r.Sample)+1)*row]
+		for sl := 0; sl < slices; sl++ {
+			v := vals[sl*n : (sl+1)*n]
+			a := acc[sl*width:][:len(v)]
+			for k := range v {
+				a[k] += v[k]
+			}
+		}
 	}
+	if engine == EventDriven {
+		return eventTiming(cfg, job), nil
+	}
+
 	tasklet := perTasklet / float64(cfg.Tasklets)
 	cycles := maxFloat(pipeline, dma, tasklet)
 	// Pipeline fill/drain ramp: the first read of each wave serializes
@@ -282,12 +372,12 @@ func closedFormTiming(cfg HWConfig, job *KernelJob) KernelTiming {
 		TaskletCycles:  tasklet,
 		Reads:          len(job.Reads),
 		BytesRead:      bytes,
-	}
+	}, nil
 }
 
 // FootprintBytes returns the job's recycled buffer capacity in bytes
-// (the Reads access list at 16 bytes per entry plus the shared row
-// pool) — its contribution to an engine's arena footprint.
+// (the Reads access list at 16 bytes per entry plus the row pool) — its
+// contribution to an engine's arena footprint.
 func (j *KernelJob) FootprintBytes() int64 {
 	return int64(cap(j.Reads))*16 + int64(cap(j.Rows))*4
 }
