@@ -107,8 +107,9 @@ type Config struct {
 	// families (serve.Config.Metrics) and the cluster instrument
 	// families: per-node RPC and error counters, hedge/failover
 	// counters, gather-latency histograms, modeled network time and
-	// degraded gauges. Pre-resolved at construction; nil leaves the
-	// deployment uninstrumented.
+	// degraded gauges. Pre-resolved at construction. The instruments
+	// behind Stats and ClusterStats exist either way (on private
+	// registries when this is nil); setting Metrics exports them.
 	Metrics *obs.Registry
 }
 

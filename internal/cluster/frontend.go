@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,7 +10,6 @@ import (
 
 	"updlrm/internal/core"
 	"updlrm/internal/dlrm"
-	"updlrm/internal/governor"
 	"updlrm/internal/hosthw"
 	"updlrm/internal/metrics"
 	"updlrm/internal/serve"
@@ -38,16 +36,10 @@ type Frontend struct {
 	tr     Transport
 	health *health
 	obs    *clusterObs
-	nc     []nodeCounters
 
 	shape serve.Shape
 	flops int64
 	host  hosthw.CPUModel
-
-	// Fabric totals behind ClusterStats.
-	mu      sync.Mutex
-	netNs   float64
-	batches int64
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -125,7 +117,6 @@ func newFabric(model *dlrm.Model, profile *trace.Trace, ecfg core.Config, cfg Co
 		tr:     tr,
 		health: h,
 		obs:    newClusterObs(norm.Metrics, norm.Nodes, h),
-		nc:     make([]nodeCounters, len(norm.Nodes)),
 		shape: serve.Shape{
 			RowsPerTable: append([]int(nil), model.Cfg.RowsPerTable...),
 			DenseDim:     model.Cfg.DenseDim,
@@ -274,15 +265,7 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch) (
 			if out.err == nil {
 				f.health.success(c.node)
 				respBytes := out.resp.WireBytes()
-				nc := &f.nc[c.node]
-				nc.lookups.Add(1)
-				nc.bytesSent.Add(reqBytes)
-				nc.bytesRecv.Add(respBytes)
-				if out.resp.GovernorBand != 0 {
-					nc.govBand.Store(out.resp.GovernorBand)
-					nc.govPressure.Store(math.Float64bits(out.resp.Pressure))
-				}
-				f.obs.recordLookup(c.node, reqBytes, respBytes)
+				f.obs.recordLookup(c.node, reqBytes, respBytes, out.resp.GovernorBand, out.resp.Pressure)
 				return []callResult{{
 					node:   c.node,
 					tables: c.tables,
@@ -290,7 +273,6 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch) (
 					rtNs:   f.cfg.Link.RoundTripNs(reqBytes, respBytes),
 				}}, nil
 			}
-			f.nc[c.node].errors.Add(1)
 			f.obs.recordRPCError(c.node)
 			f.health.failure(c.node)
 			if hedgeC != nil {
@@ -302,7 +284,6 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch) (
 			if b == nil {
 				return nil, fmt.Errorf("cluster: node %s: %w", f.place.nodes[c.node], out.err)
 			}
-			f.nc[c.node].failovers.Add(1)
 			f.obs.recordFailover(c.node)
 			calls, err := f.reroute(c, b)
 			if err != nil {
@@ -311,7 +292,6 @@ func (f *Frontend) callLookup(ctx context.Context, c nodeCall, b *trace.Batch) (
 			return f.runFallback(ctx, calls)
 		case <-timerC:
 			timerC = nil
-			f.nc[c.node].hedges.Add(1)
 			f.obs.recordHedge(c.node)
 			hedgeC = make(chan lookupOutcome, 1)
 			calls, err := f.reroute(c, b)
@@ -514,10 +494,6 @@ func (g *gatherExec) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int
 	g.ctr = g.ctr[:size]
 	g.pool.Forward(b, &g.embs, g.ctr)
 
-	f.mu.Lock()
-	f.batches++
-	f.netNs += netNs
-	f.mu.Unlock()
 	f.obs.recordBatch(float64(time.Since(start).Nanoseconds()), netNs)
 	return g.ctr, bd, mram, nil
 }
@@ -609,7 +585,6 @@ func (g *gatherExec) ApplyDeltas(deltas []serve.Delta) (float64, int64, error) {
 			reqBytes := req.WireBytes()
 			resp, err := f.tr.Update(cctx, f.place.nodes[n], req)
 			if err != nil {
-				f.nc[n].errors.Add(1)
 				f.obs.recordRPCError(n)
 				f.health.failure(n)
 				mu.Lock()
@@ -620,12 +595,7 @@ func (g *gatherExec) ApplyDeltas(deltas []serve.Delta) (float64, int64, error) {
 				return
 			}
 			f.health.success(n)
-			respBytes := resp.WireBytes()
-			nc := &f.nc[n]
-			nc.updates.Add(1)
-			nc.bytesSent.Add(reqBytes)
-			nc.bytesRecv.Add(respBytes)
-			f.obs.recordUpdate(n, reqBytes, respBytes)
+			f.obs.recordUpdate(n, reqBytes, resp.WireBytes())
 			mu.Lock()
 			if resp.ModeledNs > modeledNs {
 				modeledNs = resp.ModeledNs // nodes apply in parallel
@@ -684,30 +654,7 @@ func (f *Frontend) prober() {
 // ClusterStats snapshots the fabric-level supplement: per-node RPC
 // traffic, health, and the modeled interconnect total.
 func (f *Frontend) ClusterStats() ClusterStats {
-	cs := ClusterStats{Nodes: make([]NodeStats, len(f.place.nodes))}
-	for i, name := range f.place.nodes {
-		nc := &f.nc[i]
-		cs.Nodes[i] = NodeStats{
-			Node:      name,
-			Lookups:   nc.lookups.Load(),
-			Updates:   nc.updates.Load(),
-			Errors:    nc.errors.Load(),
-			Hedges:    nc.hedges.Load(),
-			Failovers: nc.failovers.Load(),
-			BytesSent: nc.bytesSent.Load(),
-			BytesRecv: nc.bytesRecv.Load(),
-			Degraded:  f.health.isDown(i),
-		}
-		if band := nc.govBand.Load(); band != 0 {
-			cs.Nodes[i].GovernorBand = governor.Band(band - 1).String()
-			cs.Nodes[i].Pressure = math.Float64frombits(nc.govPressure.Load())
-		}
-	}
-	f.mu.Lock()
-	cs.NetworkNs = f.netNs
-	cs.GatherBatches = f.batches
-	f.mu.Unlock()
-	return cs
+	return f.obs.snapshot(f.place.nodes, f.health)
 }
 
 // Close stops accepting requests, drains the scheduler (every already

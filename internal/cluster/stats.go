@@ -1,6 +1,10 @@
 package cluster
 
-import "sync/atomic"
+import (
+	"math"
+
+	"updlrm/internal/governor"
+)
 
 // NodeStats is one backend's cumulative fabric traffic as seen from the
 // frontend.
@@ -44,14 +48,29 @@ type ClusterStats struct {
 	GatherBatches int64
 }
 
-// nodeCounters is the atomic backing of one node's NodeStats.
-type nodeCounters struct {
-	lookups, updates, errors atomic.Int64
-	hedges, failovers        atomic.Int64
-	bytesSent, bytesRecv     atomic.Int64
-	// govBand holds the wire encoding (governor.Band + 1, 0 = unknown
-	// or ungoverned) of the node's last reported band; govPressure its
-	// pressure as float64 bits.
-	govBand     atomic.Uint32
-	govPressure atomic.Uint64
+// snapshot builds the ClusterStats view of the recorded fabric events.
+func (o *clusterObs) snapshot(nodes []string, h *health) ClusterStats {
+	cs := ClusterStats{
+		Nodes:         make([]NodeStats, len(nodes)),
+		NetworkNs:     o.networkNs.Sum(),
+		GatherBatches: int64(o.batches.Value()),
+	}
+	for i, name := range nodes {
+		cs.Nodes[i] = NodeStats{
+			Node:      name,
+			Lookups:   int64(o.lookups[i].Value()),
+			Updates:   int64(o.updates[i].Value()),
+			Errors:    int64(o.errors[i].Value()),
+			Hedges:    int64(o.hedges[i].Value()),
+			Failovers: int64(o.failovers[i].Value()),
+			BytesSent: int64(o.bytesOut[i].Value()),
+			BytesRecv: int64(o.bytesIn[i].Value()),
+			Degraded:  h.isDown(i),
+		}
+		if band := o.gov[i].band.Load(); band != 0 {
+			cs.Nodes[i].GovernorBand = governor.Band(band - 1).String()
+			cs.Nodes[i].Pressure = math.Float64frombits(o.gov[i].pressure.Load())
+		}
+	}
+	return cs
 }

@@ -116,9 +116,9 @@ func (g *Gauge) Value() float64 {
 }
 
 // Histogram is a fixed-bucket histogram: observation counts per bucket
-// plus a running sum. Buckets are defined by their upper bounds at
-// registration; a +Inf bucket is implicit. Observe is lock-free and
-// allocation-free. A nil *Histogram ignores observations.
+// plus a running sum and an exact maximum. Buckets are defined by their
+// upper bounds at registration; a +Inf bucket is implicit. Observe is
+// lock-free and allocation-free. A nil *Histogram ignores observations.
 type Histogram struct {
 	// bounds are the inclusive upper bounds, ascending, excluding +Inf.
 	bounds []float64
@@ -128,6 +128,23 @@ type Histogram struct {
 	counts []atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	max    atomic.Uint64 // float64 bits, CAS-raised; -Inf until observed
+}
+
+// bucket returns the index of the first bound >= v (len(bounds) for the
+// +Inf bucket) by binary search. A NaN compares greater than no bound
+// and lands in bucket 0.
+func (h *Histogram) bucket(v float64) int {
+	lo, hi := 0, len(h.bounds)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if v > h.bounds[mid] {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Observe records one observation.
@@ -135,11 +152,15 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
+	// The maximum is raised before the count, so a view that sees this
+	// observation counted also sees a maximum at least as large.
+	for {
+		old := h.max.Load()
+		if !(v > math.Float64frombits(old)) || h.max.CompareAndSwap(old, math.Float64bits(v)) {
+			break
+		}
 	}
-	h.counts[i].Add(1)
+	h.counts[h.bucket(v)].Add(1)
 	h.count.Add(1)
 	for {
 		old := h.sum.Load()
@@ -166,40 +187,105 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts by linear interpolation within the located bucket — the same
-// estimate a Prometheus histogram_quantile() gives. Observations in
-// the +Inf bucket clamp to the highest finite bound. Returns 0 when
-// empty.
-func (h *Histogram) Quantile(q float64) float64 {
+// Quantile estimates the q-quantile (0 < q <= 1) of h; see
+// HistogramView.Quantile.
+func (h *Histogram) Quantile(q float64) float64 { return h.View().Quantile(q) }
+
+// HistogramView is a point-in-time copy of a histogram's state, read
+// without locks while writers keep observing. Views of histograms with
+// the same bounds merge, so a summary across several labeled children
+// (every QoS class, say) comes from one combined distribution. The zero
+// value is an empty view.
+type HistogramView struct {
+	bounds []float64
+	counts []uint64
+	// Count, Sum and Max are the number of observations, their sum and
+	// the largest of them (0 when empty).
+	Count uint64
+	Sum   float64
+	Max   float64
+}
+
+// View copies h's current counts, sum and maximum. A nil histogram
+// yields an empty view.
+func (h *Histogram) View() HistogramView {
 	if h == nil {
-		return 0
+		return HistogramView{}
 	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var cum uint64
+	v := HistogramView{bounds: h.bounds, counts: make([]uint64, len(h.counts))}
 	for i := range h.counts {
 		n := h.counts[i].Load()
+		v.counts[i] = n
+		v.Count += n
+	}
+	v.Sum = h.Sum()
+	if v.Count > 0 {
+		v.Max = math.Float64frombits(h.max.Load())
+	}
+	return v
+}
+
+// Merge adds o's observations to v. Both must come from histograms with
+// the same bounds (it panics otherwise); an empty v becomes a copy of o.
+func (v *HistogramView) Merge(o HistogramView) {
+	if o.Count == 0 {
+		return
+	}
+	if v.Count == 0 {
+		*v = o
+		v.counts = append([]uint64(nil), o.counts...)
+		return
+	}
+	if len(v.counts) != len(o.counts) {
+		panic("obs: merging histogram views with different bounds")
+	}
+	for i, n := range o.counts {
+		v.counts[i] += n
+	}
+	v.Count += o.Count
+	v.Sum += o.Sum
+	v.Max = max(v.Max, o.Max)
+}
+
+// Mean returns Sum/Count, 0 when empty.
+func (v HistogramView) Mean() float64 {
+	if v.Count == 0 {
+		return 0
+	}
+	return v.Sum / float64(v.Count)
+}
+
+// Quantile estimates the q-quantile (0 < q <= 1) from the bucket counts
+// by linear interpolation within the located bucket — the same estimate
+// a Prometheus histogram_quantile() gives — capped at the exact
+// maximum. The located bucket is the one holding the exact
+// nearest-rank value, so the estimate is off by at most that bucket's
+// width; values in the +Inf bucket clamp to the highest finite bound.
+// Returns 0 when empty.
+func (v HistogramView) Quantile(q float64) float64 {
+	if v.Count == 0 {
+		return 0
+	}
+	rank := q * float64(v.Count)
+	var cum uint64
+	for i, n := range v.counts {
 		if n == 0 {
 			continue
 		}
 		if float64(cum+n) >= rank {
-			if i >= len(h.bounds) { // +Inf bucket
-				return h.bounds[len(h.bounds)-1]
+			if i >= len(v.bounds) { // +Inf bucket
+				return v.bounds[len(v.bounds)-1]
 			}
 			lo := 0.0
 			if i > 0 {
-				lo = h.bounds[i-1]
+				lo = v.bounds[i-1]
 			}
 			frac := (rank - float64(cum)) / float64(n)
-			return lo + (h.bounds[i]-lo)*frac
+			return min(lo+(v.bounds[i]-lo)*frac, v.Max)
 		}
 		cum += n
 	}
-	return h.bounds[len(h.bounds)-1]
+	return v.bounds[len(v.bounds)-1]
 }
 
 // ExpBuckets returns n exponential bucket bounds: start, start*factor,
@@ -275,6 +361,7 @@ func (f *family) resolve(values []string) *child {
 	case typeHistogram:
 		h := &Histogram{bounds: f.bounds}
 		h.counts = make([]atomic.Uint64, len(f.bounds)+1)
+		h.max.Store(math.Float64bits(math.Inf(-1)))
 		c.hist = h
 	}
 	f.children[key] = c

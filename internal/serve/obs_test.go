@@ -2,17 +2,21 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"updlrm/internal/hotcache"
+	"updlrm/internal/metrics"
 	"updlrm/internal/obs"
+	"updlrm/internal/trace"
 )
 
 // newObsServer builds an instrumented cached server: registry, tracer
@@ -279,9 +283,9 @@ func TestResponseSpanAttribution(t *testing.T) {
 	}
 }
 
-// TestStatsConcurrentWithTraffic is the satellite -race test: Stats()
-// polled while traffic is in flight must neither race with recorders
-// (summarize copies before sorting) nor perturb later snapshots.
+// TestStatsConcurrentWithTraffic is the -race test for the lock-free
+// view: Stats() polled while traffic is in flight must neither race
+// with the recorders nor perturb later snapshots.
 func TestStatsConcurrentWithTraffic(t *testing.T) {
 	srv, _, _ := newObsServer(t, 2, Config{MaxBatch: 4, BatchWindow: 50 * time.Microsecond})
 	_, profile, _ := testFixture(t)
@@ -336,6 +340,133 @@ func TestStatsConcurrentWithTraffic(t *testing.T) {
 	// Two quiescent snapshots must agree exactly — Stats() is read-only.
 	again := srv.Stats()
 	if st.P50Ns != again.P50Ns || st.P99Ns != again.P99Ns || st.MaxNs != again.MaxNs {
-		t.Fatal("consecutive quiescent snapshots disagree; Stats() mutated collector state")
+		t.Fatal("consecutive quiescent snapshots disagree; Stats() mutated recorded state")
+	}
+}
+
+// failNth wraps an executor and fails its nth RunBatch call.
+type failNth struct {
+	Executor
+	n, runs int
+}
+
+func (e *failNth) RunBatch(b *trace.Batch) ([]float32, metrics.Breakdown, int64, error) {
+	e.runs++
+	if e.runs == e.n {
+		return nil, metrics.Breakdown{}, 0, errors.New("injected batch failure")
+	}
+	return e.Executor.RunBatch(b)
+}
+
+// scrapedTotal renders reg, parses the exposition and sums every sample
+// of the named counter family.
+func scrapedTotal(t *testing.T, reg *obs.Registry, family string) int64 {
+	t.Helper()
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	fams, err := obs.ParseExposition(sb.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, ok := fams[family]
+	if !ok {
+		t.Fatalf("family %q not exported", family)
+	}
+	var total float64
+	for _, s := range f.Samples[family] {
+		total += s.Value
+	}
+	return int64(total)
+}
+
+// TestStatsAndMetricsViewSameEvents: Stats() and the exported families
+// are two views of one record. A mixed run — three classes, a failing
+// batch, a forced queue-full shed, an update and background re-probes —
+// must leave every Stats count equal to its scraped family.
+func TestStatsAndMetricsViewSameEvents(t *testing.T) {
+	model, profile, ecfg := testFixture(t)
+	engines, err := NewShards(model, profile, repeat(ecfg, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	shape := Shape{RowsPerTable: engines[0].RowsPerTable(), DenseDim: engines[0].DenseDim(), EmbDim: engines[0].EmbDim()}
+	execs := []Executor{&failNth{Executor: EngineExecutor(engines[0]), n: 2}}
+	srv, err := newServer(execs, engines, shape, Config{
+		MaxBatch: 4, QueueDepth: 4, Metrics: reg, ReprobeInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	var holding atomic.Bool
+	hold := make(chan struct{})
+	srv.testHookBatch = func(int, *microBatch) {
+		if holding.Load() {
+			<-hold
+		}
+	}
+	ctx := context.Background()
+	predict := func(i int, c Class) error {
+		s := profile.Samples[i%len(profile.Samples)]
+		_, err := srv.Predict(ctx, Request{Dense: s.Dense, Sparse: s.Sparse, Class: c})
+		return err
+	}
+
+	// Three classes one request at a time: the second batch fails.
+	for i := 0; i < 30; i++ {
+		if err := predict(i, Class(i%NumClasses)); err != nil && i != 1 {
+			t.Fatalf("request %d: %v", i, err)
+		}
+	}
+
+	// Hold the worker and flood the Batch class past its queue.
+	holding.Store(true)
+	var wg sync.WaitGroup
+	var shed atomic.Int64
+	for i := 0; i < 64; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := predict(i, Batch); errors.Is(err, ErrOverloaded) {
+				shed.Add(1)
+			} else if err != nil {
+				t.Errorf("flood request %d: %v", i, err)
+			}
+		}(i)
+	}
+	waitFor(t, "a queue-full shed", func() bool { return shed.Load() > 0 })
+	holding.Store(false)
+	close(hold)
+	wg.Wait()
+
+	vec := make([]float32, shape.EmbDim)
+	if err := srv.ApplyDeltas(ctx, []Delta{{Table: 0, Row: 1, Vec: vec}, {Table: 1, Row: 2, Vec: vec}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a background re-probe", func() bool { return srv.Stats().Reprobes > 0 })
+	srv.Close() // quiesce: no re-probe lands between the two reads
+
+	st := srv.Stats()
+	for _, c := range []struct {
+		family string
+		stat   int64
+	}{
+		{"serve_requests_total", st.Requests},
+		{"serve_shed_total", st.Shed},
+		{"serve_errors_total", st.Errors},
+		{"serve_batches_total", st.Batches},
+		{"serve_update_applied_total", st.UpdateBatches},
+		{"serve_update_rows_total", st.UpdatedRows},
+		{"serve_reprobe_total", st.Reprobes},
+	} {
+		if c.stat <= 0 {
+			t.Errorf("%s: the mixed run recorded no event (%d)", c.family, c.stat)
+		}
+		if got := scrapedTotal(t, reg, c.family); got != c.stat {
+			t.Errorf("%s scraped %d, Stats says %d", c.family, got, c.stat)
+		}
 	}
 }

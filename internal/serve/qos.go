@@ -422,9 +422,9 @@ func (s *Server) scheduler() {
 
 		// Publish the round's predicted per-class admission waits so
 		// Predict's SLO check reads a fresh estimate (skipped entirely on
-		// an un-instrumented depth-only server — the pre-SLO hot path is
-		// unchanged).
-		if s.hasSLO || s.obs != nil {
+		// a depth-only server without a caller's registry — the pre-SLO
+		// hot path is unchanged).
+		if s.hasSLO || s.cfg.Metrics != nil {
 			s.publishWait(&staged)
 		}
 

@@ -132,11 +132,12 @@ type Config struct {
 	// metric families to: per-class admission/shed/latency series,
 	// scheduler dispatch decisions, queue depths, router profiles,
 	// update-lane counters, hot-cache per-table counters and engine
-	// stage histograms. The hot path touches only pre-resolved atomic
-	// instruments (zero added allocations); a nil registry leaves the
-	// server uninstrumented. Each Server needs its own registry — the
-	// families are registered at construction and re-registration
-	// panics.
+	// stage histograms. The instruments behind Stats exist either way
+	// (on a private registry when this is nil); setting Metrics exports
+	// them and adds the scrape-only families, whose hot-path cost is a
+	// few pre-resolved atomic updates (zero added allocations). Each
+	// Server needs its own registry — the families are registered at
+	// construction and re-registration panics.
 	Metrics *obs.Registry
 	// Tracer, when set, samples per-request stage-span traces (queue
 	// wait, breakdown stages, reply) into its ring buffer — exposed via
@@ -313,9 +314,9 @@ type Server struct {
 	router  *router
 	wg      sync.WaitGroup
 
-	stats *collector
-	// obs holds the pre-resolved instrument set (nil when Config.Metrics
-	// is unset); tracer samples per-request stage traces (nil disables).
+	// obs is the one record of serving events, behind both Stats and
+	// the exported metrics; tracer samples per-request stage traces (nil
+	// disables).
 	obs    *serveObs
 	tracer *obs.Tracer
 	// cache is the hot-row cache shared by all replicas (nil when
@@ -416,7 +417,6 @@ func newServer(execs []Executor, engines []*core.Engine, shape Shape, cfg Config
 		shardCh:      make([]chan *microBatch, len(execs)),
 		updateCh:     make(chan *updateJob, updateQueueDepth),
 		router:       newRouter(len(execs)),
-		stats:        newCollector(),
 		tracer:       cfg.Tracer,
 	}
 	if len(engines) > 0 {
@@ -550,7 +550,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 	// the classes that must keep serving. One atomic load when no
 	// governor runs.
 	if mask := s.shedMask.Load(); mask&(1<<req.Class) != 0 {
-		s.stats.recordShed(req.Class, shedPressure)
 		s.obs.recordShed(req.Class, shedPressure)
 		return Response{}, Overload(LanePredict)
 	}
@@ -575,7 +574,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 				continue
 			}
 			if p.enq.UnixNano()-s.predWaitStamp.Load() < predWaitFreshnessNs {
-				s.stats.recordShed(req.Class, shedSLO)
 				s.obs.recordShed(req.Class, shedSLO)
 				return Response{}, Overload(LanePredict)
 			}
@@ -596,7 +594,6 @@ func (s *Server) Predict(ctx context.Context, req Request) (Response, error) {
 		s.obs.recordAdmit(req.Class)
 	default:
 		s.mu.RUnlock()
-		s.stats.recordShed(req.Class, shedQueueFull)
 		s.obs.recordShed(req.Class, shedQueueFull)
 		return Response{}, Overload(LanePredict)
 	}
@@ -684,12 +681,11 @@ func (s *Server) worker(shard int) {
 		batch.Reset(&tr, 0, len(pend))
 		ctr, bd, mram, err := runBatch(exec, &batch)
 		if err != nil {
+			s.obs.recordErrors(len(pend))
+			s.router.complete(shard, mb.predNs, metrics.Breakdown{}, 0)
 			for _, p := range pend {
 				p.done <- outcome{err: fmt.Errorf("serve: shard %d: %w", shard, err)}
 			}
-			s.stats.recordError(len(pend))
-			s.obs.recordErrors(len(pend))
-			s.router.complete(shard, mb.predNs, metrics.Breakdown{}, 0)
 			putMicroBatch(mb)
 			continue
 		}
@@ -726,6 +722,11 @@ func (s *Server) worker(shard int) {
 		if pipelined {
 			residency = pipeLat
 		}
+		// Record and release the router charge before replying, so a
+		// caller's Stats() after its Predict returns already counts the
+		// request.
+		s.obs.recordBatch(shard, mram, serialLat, pipeLat)
+		s.router.complete(shard, mb.predNs, bd, len(pend))
 		for i, p := range pend {
 			queueNs := float64(dispatch.Sub(p.enq).Nanoseconds())
 			resp := Response{
@@ -738,15 +739,12 @@ func (s *Server) worker(shard int) {
 				PipelinedNs: pipeLat,
 				SpanNs:      queueNs + residency,
 			}
-			p.done <- outcome{resp: resp}
-			s.stats.record(resp)
 			s.obs.recordResponse(&resp)
+			p.done <- outcome{resp: resp}
 			if seq, ok := s.tracer.Sample(); ok {
 				s.traceRequest(&trec, seq, &resp, dispatch)
 			}
 		}
-		s.stats.recordBatch(mram, serialLat, pipeLat)
-		s.router.complete(shard, mb.predNs, bd, len(pend))
 		putMicroBatch(mb)
 	}
 }
@@ -811,7 +809,7 @@ func (s *Server) Close() {
 // in the shared hot-row cache's counters when one is deployed and the
 // router's per-shard profiles.
 func (s *Server) Stats() Stats {
-	st := s.stats.snapshot()
+	st := s.obs.snapshot()
 	st.Shards = s.router.snapshot()
 	for c := Class(0); c < NumClasses; c++ {
 		st.PredictedWaitNs[c] = float64(s.predWait[c].Load())

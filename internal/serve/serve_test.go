@@ -343,24 +343,6 @@ func TestPredictContextCancel(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	cases := []struct {
-		q    float64
-		want float64
-	}{
-		{0.50, 5}, {0.95, 10}, {0.99, 10}, {1.0, 10}, {0.10, 1}, {0.0, 1},
-	}
-	for _, c := range cases {
-		if got := Percentile(sorted, c.q); got != c.want {
-			t.Errorf("Percentile(q=%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-	if got := Percentile([]float64{42}, 0.99); got != 42 {
-		t.Errorf("singleton percentile = %v, want 42", got)
-	}
-}
-
 func TestConstructorsRejectBadInput(t *testing.T) {
 	model, profile, ecfg := testFixture(t)
 	if _, err := NewShards(nil, profile, repeat(ecfg, 2)); err == nil {

@@ -1,11 +1,6 @@
 package serve
 
-import (
-	"math"
-	"sort"
-	"sync"
-	"time"
-)
+import "updlrm/internal/obs"
 
 // shedReason is why admission refused a request: a full class queue
 // (the depth-only backstop), the governor's pressure ladder, or the SLO
@@ -34,7 +29,9 @@ type ClassStats struct {
 	ShedPressure int64
 	ShedSLO      int64
 	// MeanNs, P50Ns, P95Ns, P99Ns and MaxNs summarize the class's
-	// per-request modeled latency (queueing + batch breakdown).
+	// per-request modeled latency (queueing + batch breakdown). MeanNs
+	// and MaxNs are exact; the percentiles here and in QueueP*Ns are
+	// read off LatencyBuckets histograms, see Stats.
 	MeanNs float64
 	P50Ns  float64
 	P95Ns  float64
@@ -76,7 +73,16 @@ type ShardStats struct {
 	BacklogNs float64
 }
 
-// Stats is a snapshot of a server's cumulative serving behaviour.
+// Stats is a snapshot of a server's cumulative serving behaviour, read
+// from the same instruments Config.Metrics exports.
+//
+// Counts, sums, means and MaxNs are exact. Every percentile (P*Ns,
+// QueueP*Ns, UpdateP*Ns, and ClassStats') is interpolated inside the
+// LatencyBuckets bucket that holds the exact nearest-rank percentile,
+// and capped at the exact maximum, so it is off by less than that
+// bucket's width: within 19% (2^(1/4)-1) of the exact value between
+// 1 µs and ~1.05 s, within 1 µs below it, and reported as ~1.05 s
+// above it.
 type Stats struct {
 	// Requests is the number of requests served successfully.
 	Requests int64
@@ -87,11 +93,12 @@ type Stats struct {
 	// AvgBatchSize is Requests/Batches — how well the window coalesces.
 	AvgBatchSize float64
 	// ThroughputRPS is served requests divided by the wall-clock span
-	// from the first dispatch to the last completion.
+	// from the first micro-batch completion to the last (0 before a
+	// second, later completion).
 	ThroughputRPS float64
-	// Shed is the number of requests rejected with ErrOverloaded at a
-	// full class queue (admission control); they appear in no other
-	// counter. PerClass breaks it down by QoS class.
+	// Shed is the number of requests rejected with ErrOverloaded at the
+	// door, over every shed cause; they appear in no other counter.
+	// PerClass breaks it down by QoS class and cause.
 	Shed int64
 	// PerClass summarizes each QoS class's traffic separately: request
 	// and shed counts, modeled-latency percentiles and queueing-delay
@@ -201,211 +208,64 @@ func (s Stats) ShedRate() float64 {
 	return float64(s.Shed) / float64(offered)
 }
 
-// classAgg accumulates one class's per-request samples.
-type classAgg struct {
-	latencies    []float64
-	queues       []float64
-	shed         int64
-	shedPressure int64
-	shedSLO      int64
-}
-
-// collector accumulates per-request latencies; Server owns one.
-type collector struct {
-	mu        sync.Mutex
-	latencies []float64 // modeled ns, one per served request
-	queues    []float64 // measured queueing ns, one per served request
-	perClass  [NumClasses]classAgg
-	errors    int64
-	batches   int64
-	mramBytes int64
-	// pipeSerialNs / pipePipelinedNs accumulate the per-batch modeled
-	// shard residencies of the pipelined workers (zero when disabled).
-	pipeSerialNs    float64
-	pipePipelinedNs float64
-	// Update-lane counters: one recordUpdate per completed ApplyDeltas
-	// job (after the last replica applies it).
-	updBatches   int64
-	updRows      int64
-	updShed      int64
-	updInval     int64
-	updModeledNs float64
-	updLats      []float64 // measured wall ns per update job
-	reprobes     int64     // completed background cost re-probes
-	first        time.Time // first recorded completion window start
-	last         time.Time // last recorded completion
-}
-
-func newCollector() *collector { return &collector{} }
-
-func (c *collector) record(r Response) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.first.IsZero() {
-		c.first = now
-	}
-	c.last = now
-	c.latencies = append(c.latencies, r.ModeledNs())
-	c.queues = append(c.queues, r.QueueNs)
-	agg := &c.perClass[r.Class]
-	agg.latencies = append(agg.latencies, r.ModeledNs())
-	agg.queues = append(agg.queues, r.QueueNs)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordBatch(mramBytes int64, pipeSerialNs, pipePipelinedNs float64) {
-	c.mu.Lock()
-	c.batches++
-	c.mramBytes += mramBytes
-	c.pipeSerialNs += pipeSerialNs
-	c.pipePipelinedNs += pipePipelinedNs
-	c.mu.Unlock()
-}
-
-func (c *collector) recordShed(cl Class, reason shedReason) {
-	c.mu.Lock()
-	agg := &c.perClass[cl]
-	agg.shed++
-	switch reason {
-	case shedPressure:
-		agg.shedPressure++
-	case shedSLO:
-		agg.shedSLO++
-	}
-	c.mu.Unlock()
-}
-
-func (c *collector) recordReprobe() {
-	c.mu.Lock()
-	c.reprobes++
-	c.mu.Unlock()
-}
-
-func (c *collector) recordError(n int) {
-	c.mu.Lock()
-	c.errors += int64(n)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordUpdate(rows int64, wallNs, modeledNs float64, inval int64) {
-	c.mu.Lock()
-	c.updBatches++
-	c.updRows += rows
-	c.updInval += inval
-	c.updModeledNs += modeledNs
-	c.updLats = append(c.updLats, wallNs)
-	c.mu.Unlock()
-}
-
-func (c *collector) recordUpdateShed() {
-	c.mu.Lock()
-	c.updShed++
-	c.mu.Unlock()
-}
-
-// summarize fills mean/percentile fields from an unsorted sample set.
-// It copies before sorting: callers hand it live collector slices whose
-// backing arrays concurrent recorders may still be appending to, and
-// sorting those in place would scramble element order under a
-// concurrent append's reallocation copy. Reading a captured header is
-// safe — the collector only ever appends (writes at index >= the
-// captured len, or into a fresh backing array), never mutates existing
-// elements.
-func summarize(lat []float64) (mean, p50, p95, p99, maxv float64) {
-	if len(lat) == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	lat = append([]float64(nil), lat...)
-	sort.Float64s(lat)
-	var sum float64
-	for _, v := range lat {
-		sum += v
-	}
-	return sum / float64(len(lat)),
-		Percentile(lat, 0.50), Percentile(lat, 0.95), Percentile(lat, 0.99),
-		lat[len(lat)-1]
-}
-
-func (c *collector) snapshot() Stats {
-	c.mu.Lock()
-	// Capture slice headers only (O(1) under the lock): the collector is
-	// append-only, so elements below the captured len never change and
-	// summarize copies before it sorts. Stats() under sustained traffic
-	// therefore costs the recorders one short critical section, not a
-	// full O(n) copy.
-	lat := c.latencies
-	queues := c.queues
-	var perClass [NumClasses]classAgg
-	for i := range c.perClass {
-		perClass[i] = classAgg{
-			latencies:    c.perClass[i].latencies,
-			queues:       c.perClass[i].queues,
-			shed:         c.perClass[i].shed,
-			shedPressure: c.perClass[i].shedPressure,
-			shedSLO:      c.perClass[i].shedSLO,
+// snapshot builds the Stats view of the recorded events: counts are
+// counter values, means are histogram Sum/Count, percentiles are
+// bucketed quantiles (server-wide ones over the classes' merged
+// histograms) and MaxNs is the histograms' exact maximum. Reads are
+// lock-free; under concurrent traffic the fields may be a few events
+// apart.
+func (o *serveObs) snapshot() Stats {
+	var st Stats
+	var lat, queue obs.HistogramView
+	for c := Class(0); c < NumClasses; c++ {
+		cs := &st.PerClass[c]
+		cs.Requests = int64(o.served[c].Value())
+		cs.Shed = int64(o.shed[c].Value())
+		cs.ShedPressure = int64(o.govShed[c].Value())
+		cs.ShedSLO = int64(o.sloShed[c].Value())
+		m, q := o.modeledNs[c].View(), o.queueNs[c].View()
+		cs.MeanNs, cs.P50Ns, cs.P95Ns, cs.P99Ns, cs.MaxNs = summarize(m)
+		_, cs.QueueP50Ns, cs.QueueP95Ns, cs.QueueP99Ns, _ = summarize(q)
+		lat.Merge(m)
+		queue.Merge(q)
+		st.Requests += cs.Requests
+		st.Shed += cs.Shed
+		for _, b := range o.batches[c] {
+			st.Batches += int64(b.Value())
 		}
 	}
-	st := Stats{
-		Requests:            int64(len(c.latencies)),
-		Errors:              c.errors,
-		Batches:             c.batches,
-		MRAMBytesRead:       c.mramBytes,
-		PipelineSerialNs:    c.pipeSerialNs,
-		PipelinePipelinedNs: c.pipePipelinedNs,
-		UpdateBatches:       c.updBatches,
-		UpdatedRows:         c.updRows,
-		UpdateShed:          c.updShed,
-		UpdateInvalidations: c.updInval,
-		UpdateModeledNs:     c.updModeledNs,
-		Reprobes:            c.reprobes,
-	}
-	updLats := c.updLats
-	first, last := c.first, c.last
-	c.mu.Unlock()
-
-	for i := range perClass {
-		cs := &st.PerClass[i]
-		cs.Requests = int64(len(perClass[i].latencies))
-		cs.Shed = perClass[i].shed
-		cs.ShedPressure = perClass[i].shedPressure
-		cs.ShedSLO = perClass[i].shedSLO
-		st.Shed += perClass[i].shed
-		cs.MeanNs, cs.P50Ns, cs.P95Ns, cs.P99Ns, cs.MaxNs = summarize(perClass[i].latencies)
-		_, cs.QueueP50Ns, cs.QueueP95Ns, cs.QueueP99Ns, _ = summarize(perClass[i].queues)
-	}
+	st.MeanNs, st.P50Ns, st.P95Ns, st.P99Ns, st.MaxNs = summarize(lat)
+	st.AvgQueueNs, st.QueueP50Ns, st.QueueP95Ns, st.QueueP99Ns, _ = summarize(queue)
+	st.Errors = int64(o.errors.Value())
 	if st.Batches > 0 {
 		st.AvgBatchSize = float64(st.Requests) / float64(st.Batches)
+	}
+	if first, last := o.firstNs.Load(), o.lastNs.Load(); last > first {
+		st.ThroughputRPS = float64(st.Requests) / (float64(last-first) / 1e9)
+	}
+	st.MRAMBytesRead = o.mramBytes.Load()
+	for i := range o.pipe {
+		// Pipelined before serial: the worker adds serial first, so the
+		// pair read never shows pipelined > serial.
+		st.PipelinePipelinedNs += o.pipe[i].pipelinedNs.Value()
+		st.PipelineSerialNs += o.pipe[i].serialNs.Value()
 	}
 	if st.PipelinePipelinedNs > 0 {
 		st.PipelineSpeedup = st.PipelineSerialNs / st.PipelinePipelinedNs
 	}
-	if len(updLats) > 0 {
-		_, st.UpdateP50Ns, _, st.UpdateP99Ns, _ = summarize(updLats)
-	}
-	if len(lat) == 0 {
-		return st
-	}
-	st.MeanNs, st.P50Ns, st.P95Ns, st.P99Ns, st.MaxNs = summarize(lat)
-	st.AvgQueueNs, st.QueueP50Ns, st.QueueP95Ns, st.QueueP99Ns, _ = summarize(queues)
-	if span := last.Sub(first).Seconds(); span > 0 {
-		st.ThroughputRPS = float64(len(lat)) / span
-	}
+	st.UpdateBatches = int64(o.updApplied.Value())
+	st.UpdatedRows = int64(o.updRows.Value())
+	st.UpdateShed = int64(o.updShed.Value())
+	st.UpdateInvalidations = int64(o.updInval.Value())
+	st.UpdateModeledNs = o.updModelNs.Sum()
+	upd := o.updWallNs.View()
+	st.UpdateP50Ns, st.UpdateP99Ns = upd.Quantile(0.50), upd.Quantile(0.99)
+	st.Reprobes = int64(o.reprobes.Value())
 	return st
 }
 
-// Percentile returns the q-quantile (0 < q <= 1) of sorted by the
-// nearest-rank method. It panics if sorted is empty; a q outside (0,1]
-// clamps to the extremes.
-func Percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		panic("serve: percentile of empty set")
-	}
-	rank := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+// summarize reads the mean, percentiles and maximum off a histogram
+// view.
+func summarize(v obs.HistogramView) (mean, p50, p95, p99, maxv float64) {
+	return v.Mean(), v.Quantile(0.50), v.Quantile(0.95), v.Quantile(0.99), v.Max
 }

@@ -112,7 +112,6 @@ func (s *Server) ApplyDeltas(ctx context.Context, deltas []Delta) error {
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
-		s.stats.recordUpdateShed()
 		s.obs.recordUpdateShed()
 		return Overload(LaneUpdate)
 	}
@@ -141,7 +140,6 @@ func (s *Server) applyProbe(shard int, job *updateJob) {
 	last := job.remaining == 0
 	job.mu.Unlock()
 	if last {
-		s.stats.recordReprobe()
 		s.obs.recordReprobe()
 		close(job.done)
 	}
@@ -170,7 +168,6 @@ func (s *Server) applyUpdate(shard int, job *updateJob) {
 	job.mu.Unlock()
 	if last {
 		wall := float64(time.Since(job.enq).Nanoseconds())
-		s.stats.recordUpdate(int64(len(job.deltas)), wall, mod, inv)
 		s.obs.recordUpdate(int64(len(job.deltas)), inv, wall, mod)
 		close(job.done)
 	}
